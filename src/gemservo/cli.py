@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -565,14 +564,17 @@ def cmd_reproduce(args) -> int:
     project = load_project()
     band = args.band if args.band is not None else project.band_pct
     cases = _study_cases(project, band)
-    rows = simloop.run_tracking_suite(cases)
     drows = simloop.run_disturbance_suite(cases)
+    rows = [drow.tracking for drow in drows]
 
     t_text, t_docs, t_ok = _tracking_table(project, rows)
     d_text, d_docs, d_ok = _disturbance_table(project, drows)
     m_text, m_docs, m_ok = _max_control_table(project, rows)
 
-    def replay_bundled(name: str) -> tuple[str, dict]:
+    # bundled scenarios replay in name order
+    scen_lines = ["bundled scenarios:"]
+    scen_docs = []
+    for name in bundled_scenario_names():
         loaded = load_scenario(name, project=project)
         trace = simloop.run(loaded.scenario)
         sm = analyze_step(trace, band) if len(trace) >= 2 else None
@@ -586,22 +588,15 @@ def cmd_reproduce(args) -> int:
             else ("requirement PASS" if verdict.passed else "requirement FAIL")
         )
         note = f", {n_neg} negative command(s) clipped" if n_neg else ""
-        doc = {
-            "name": name,
-            "diverged": trace.diverged,
-            "passed": None if verdict is None else verdict.passed,
-            "clipped_low_samples": n_neg,
-        }
-        return f"  {name}: {state}{note}", doc
-
-    # independent replays run concurrently; lines render in name order
-    names = bundled_scenario_names()
-    scen_lines = ["bundled scenarios:"]
-    scen_docs = []
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(names)))) as pool:
-        for line, doc in pool.map(replay_bundled, names):
-            scen_lines.append(line)
-            scen_docs.append(doc)
+        scen_lines.append(f"  {name}: {state}{note}")
+        scen_docs.append(
+            {
+                "name": name,
+                "diverged": trace.diverged,
+                "passed": None if verdict is None else verdict.passed,
+                "clipped_low_samples": n_neg,
+            }
+        )
 
     all_ok = t_ok and d_ok and m_ok
     doc = {

@@ -83,12 +83,7 @@ class PidGains:
                 f"deriv_filter_n must be positive with kd != 0, got "
                 f"{self.deriv_filter_n}"
             )
-        if math.isnan(self.u_min) or math.isnan(self.u_max):
-            raise ValueError("limits must not be NaN")
-        if not self.u_min < self.u_max:
-            raise ValueError(
-                f"u_min must be below u_max, got [{self.u_min}, {self.u_max}]"
-            )
+        ActuatorLimits(self.u_min, self.u_max)  # rejects NaN or misordered bounds
 
     @property
     def limits(self) -> ActuatorLimits:
@@ -460,17 +455,9 @@ def tune_pid(
         )
         return simloop.run(scen)
 
-    def decay_rate(gains: PidGains) -> float | None:
-        """Decay rate of the sampled loop, or None when it is not stable."""
-        phi = simloop.discrete_loop_matrix(plant, gains, ts)
-        rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
-        if rho >= 1.0 - 1e-9:
-            return None
-        return -math.log(rho) / ts
-
     def evaluate(gains: PidGains):
         """Returns (verdict, metrics) from a full-length run, or None."""
-        rate = decay_rate(gains)
+        rate = simloop.sampled_decay_rate(plant, gains, ts)
         if rate is None:
             return None
         duration = min(max(2.0 * req.tss_max, 20.0 / rate), 600.0)
@@ -481,7 +468,7 @@ def tune_pid(
         return check_requirements(m, req), m
 
     def screen(gains: PidGains) -> bool:
-        if decay_rate(gains) is None:
+        if simloop.sampled_decay_rate(plant, gains, ts) is None:
             return False
         trace = run(gains, 2.0 * req.tss_max)
         if trace.diverged:

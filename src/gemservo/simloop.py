@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -376,7 +374,8 @@ class TrackingRow:
 
 @dataclass(frozen=True)
 class DisturbanceRow:
-    """Disturbance-study outcome for one case."""
+    """Disturbance-study outcome for one case, with the tracking run it was
+    built on."""
 
     label: str
     controller_kind: str
@@ -386,6 +385,7 @@ class DisturbanceRow:
     metrics: DisturbanceMetrics | None
     rejected: bool
     diverged: bool
+    tracking: TrackingRow
 
 
 def discrete_loop_matrix(
@@ -443,16 +443,27 @@ def discrete_loop_matrix(
     return phi
 
 
+def sampled_decay_rate(
+    plant: TransferFunction,
+    controller: PidGains | StateFeedbackGains,
+    ts: float = CONSTANTS.default_ts,
+) -> float | None:
+    """Decay rate -ln(rho)/ts of the sampled loop, where rho is the spectral
+    radius of :func:`discrete_loop_matrix`; None when rho >= 1 - 1e-9."""
+    phi = discrete_loop_matrix(plant, controller, ts)
+    rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    if rho >= 1.0 - 1e-9:
+        return None
+    return -math.log(rho) / ts
+
+
 def _case_duration(case: TrackingCase) -> tuple[bool, float]:
     """(sampled-loop stable, simulation length). Stable loops get windows long
     enough to expose the true steady state; unstable ones a fixed 60 s."""
-    phi = discrete_loop_matrix(case.plant, case.controller, case.ts)
-    rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
-    if rho < 1.0 - 1e-9:
-        rate = -math.log(rho) / case.ts
-        duration = min(max(2.2 * case.requirement.tss_max, 30.0 / rate), 600.0)
-        return True, duration
-    return False, 60.0
+    rate = sampled_decay_rate(case.plant, case.controller, case.ts)
+    if rate is None:
+        return False, 60.0
+    return True, min(max(2.2 * case.requirement.tss_max, 30.0 / rate), 600.0)
 
 
 def _controller_kind(controller) -> str:
@@ -492,15 +503,9 @@ def _run_tracking_case(case: TrackingCase) -> tuple[TrackingRow, SimTrace]:
 
 
 def run_tracking_suite(cases: list[TrackingCase]) -> list[TrackingRow]:
-    """Step-tracking study: simulate each case and collect metrics.
-
-    Cases are independent, so they run concurrently; results come back in
-    input order, keeping reports deterministic.
-    """
-    if not cases:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(cases))) as pool:
-        return [row for row, _ in pool.map(_run_tracking_case, cases)]
+    """Step-tracking study: simulate each case and collect metrics, in input
+    order."""
+    return [_run_tracking_case(case)[0] for case in cases]
 
 
 def run_disturbance_suite(
@@ -510,31 +515,34 @@ def run_disturbance_suite(
 ) -> list[DisturbanceRow]:
     """Disturbance-rejection study.
 
-    Each case first runs its tracking scenario; loops that settle then get a
-    constant disturbance stepping in at twice the measured settling time,
-    sized as a fraction of the steady-state control effort. Loops that never
-    settle are reported as not evaluated.
+    Each case first runs its tracking scenario, once: the row keeps that run
+    as ``tracking``, so a caller needing both studies calls only this suite.
+    Loops that settle then get a constant disturbance stepping in at twice
+    the measured settling time, sized as a fraction of the steady-state
+    control effort. Loops that never settle are reported as not evaluated.
     """
     if not (math.isfinite(magnitude_fraction) and magnitude_fraction >= 0.0):
         raise ValueError(
             f"magnitude_fraction must be nonnegative, got {magnitude_fraction}"
         )
-    if not cases:
-        return []
-    worker = partial(
-        _run_disturbance_case,
-        magnitude_fraction=magnitude_fraction,
-        inject=inject,
-    )
-    with ThreadPoolExecutor(max_workers=min(8, len(cases))) as pool:
-        return list(pool.map(worker, cases))
+    if inject not in ("input", "output"):
+        raise ValueError(f"inject must be 'input' or 'output', got {inject!r}")
+    return [
+        _run_disturbance_case(
+            case, *_run_tracking_case(case), magnitude_fraction, inject
+        )
+        for case in cases
+    ]
 
 
 def _run_disturbance_case(
-    case: TrackingCase, magnitude_fraction: float, inject: str
+    case: TrackingCase,
+    track_row: TrackingRow,
+    track_trace: SimTrace,
+    magnitude_fraction: float,
+    inject: str,
 ) -> DisturbanceRow:
-    track_row, track_trace = _run_tracking_case(case)
-    kind = _controller_kind(case.controller)
+    kind = track_row.controller_kind
     m = track_row.metrics
     if track_row.diverged or m is None or not m.settled:
         return DisturbanceRow(
@@ -546,6 +554,7 @@ def _run_disturbance_case(
             metrics=None,
             rejected=False,
             diverged=track_row.diverged,
+            tracking=track_row,
         )
     tss = m.tss if m.tss and m.tss > 0.0 else 10.0 * case.ts
     onset = max(2.0 * tss, 20.0 * case.ts)
@@ -576,6 +585,7 @@ def _run_disturbance_case(
             metrics=None,
             rejected=False,
             diverged=True,
+            tracking=track_row,
         )
     dm = analyze_disturbance(trace, onset, case.band_pct)
     rejected = dm.final_error <= 1e-6 * abs(case.requirement.amplitude)
@@ -588,4 +598,5 @@ def _run_disturbance_case(
         metrics=dm,
         rejected=rejected,
         diverged=False,
+        tracking=track_row,
     )

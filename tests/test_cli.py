@@ -3,16 +3,20 @@ outputs, idempotence and the JSON mode of every subcommand."""
 
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gemservo import simloop
 from gemservo.cli import main
 from gemservo.lti import discretize_zoh, simulate, tf_to_ss
 from gemservo.config import load_project
 from gemservo.simloop import read_trace_csv
 
 PROJECT = load_project()
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -319,6 +323,39 @@ def test_reproduce_passes_and_writes_report(tmp_path, capsys):
     scen = {d["name"]: d for d in doc["scenarios"]}
     assert scen["declination_velocity_pid"]["clipped_low_samples"] == 3
     assert scen["ascension_velocity_sf"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["reproduce"], "reproduce.txt"), (["reproduce", "--json"], "reproduce.json")],
+)
+def test_reproduce_output_is_byte_identical_to_golden(argv, golden, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == (DATA / golden).read_bytes()
+
+
+def test_reproduce_simulates_each_tracking_case_once(monkeypatch, capsys):
+    runs = []
+    tracked = Counter()
+    real_run, real_case = simloop.run, simloop._run_tracking_case
+
+    def counting_run(scenario):
+        runs.append(scenario.label)
+        return real_run(scenario)
+
+    def counting_case(case):
+        tracked[case.label] += 1
+        return real_case(case)
+
+    monkeypatch.setattr(simloop, "run", counting_run)
+    monkeypatch.setattr(simloop, "_run_tracking_case", counting_case)
+    code, _, _ = run_cli(["reproduce", "--json"], capsys)
+    assert code == 0
+    # 8 tracking runs, 1 disturbance run (only one loop settles), 3 bundled
+    assert len(runs) == 12
+    assert len(tracked) == 8
+    assert set(tracked.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ from gemservo.simloop import (
     SignalSpec,
     SimTrace,
     TrackingCase,
+    discrete_loop_matrix,
     max_control,
     read_trace_csv,
     run,
     run_disturbance_suite,
     run_tracking_suite,
+    sampled_decay_rate,
     write_trace_csv,
 )
 
@@ -395,6 +397,8 @@ def test_disturbance_suite_stable_loop_rejects():
         requirement=PROJECT.requirements["declination_velocity"],
     )
     (row,) = run_disturbance_suite([case], magnitude_fraction=0.1)
+    # the row carries the tracking run it was built on, equal to the suite's
+    assert row.tracking == run_tracking_suite([case])[0]
     assert row.evaluated
     assert row.amplitude != 0.0
     assert row.onset > 0.0
@@ -429,3 +433,30 @@ def test_disturbance_suite_skips_unsettled_loops():
     assert not row.evaluated
     assert row.metrics is None
     assert not row.rejected
+
+
+def test_disturbance_suite_validates_inject_without_settled_loops():
+    # no loop here settles, so no DisturbanceSpec is ever built to object
+    case = TrackingCase(
+        label="ascension velocity, bundled PID",
+        plant=ASC_VEL,
+        controller=PROJECT.controllers["ascension_velocity_pid"],
+        requirement=PROJECT.requirements["ascension_velocity"],
+    )
+    with pytest.raises(ValueError, match="inject must be 'input' or 'output'"):
+        run_disturbance_suite([case], inject="bogus")
+
+
+def test_sampled_decay_rate_matches_spectral_radius():
+    ts = 0.01
+    asc = PROJECT.controllers["ascension_velocity_pid"]
+    rho = np.max(np.abs(np.linalg.eigvals(discrete_loop_matrix(ASC_VEL, asc, ts))))
+    assert rho == pytest.approx(1.013, abs=1e-3)  # unstable at 10 ms
+    assert sampled_decay_rate(ASC_VEL, asc, ts) is None
+
+    decl = PROJECT.controllers["declination_velocity_pid"]
+    rho = np.max(np.abs(np.linalg.eigvals(discrete_loop_matrix(DECL_VEL, decl, ts))))
+    assert rho < 1.0
+    assert sampled_decay_rate(DECL_VEL, decl, ts) == pytest.approx(
+        -math.log(rho) / ts, rel=1e-12
+    )
