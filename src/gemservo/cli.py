@@ -635,19 +635,18 @@ def cmd_reproduce(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--ts", type=float, default=None, help="sampling time override, seconds"
-    )
-    common.add_argument(
-        "--band",
-        type=float,
-        default=None,
-        help="settling band, percent (default: project setting, 2)",
-    )
-    common.add_argument(
         "--json", action="store_true", help="machine-readable JSON on stdout"
     )
     common.add_argument(
         "--out", default=None, metavar="DIR", help="output directory (default: .)"
+    )
+    # --band only on the commands that measure settling
+    banded = argparse.ArgumentParser(add_help=False, parents=[common])
+    banded.add_argument(
+        "--band",
+        type=float,
+        default=None,
+        help="settling band, percent (default: project setting, 2)",
     )
 
     parser = argparse.ArgumentParser(
@@ -678,10 +677,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[banded],
         help="run a scenario file (or bundled scenario name) and report metrics",
     )
     p.add_argument("scenario", help="scenario JSON path or bundled scenario name")
+    p.add_argument(
+        "--ts", type=float, default=None, help="sampling time override, seconds"
+    )
     p.add_argument(
         "--wide",
         action="store_true",
@@ -726,7 +728,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "metrics",
-        parents=[common],
+        parents=[banded],
         help="compute step metrics from a trace CSV",
     )
     p.add_argument("trace", help="trace CSV (t,r,e,u,u_sat,y)")
@@ -740,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reproduce",
-        parents=[common],
+        parents=[banded],
         help="replay the published study end to end and compare tables",
     )
     p.set_defaults(func=cmd_reproduce)

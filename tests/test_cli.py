@@ -3,6 +3,9 @@ outputs, idempotence and the JSON mode of every subcommand."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -202,6 +205,51 @@ def test_identify_bad_dataset_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_identify_negative_max_iter_exits_two(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
+                   noise_frac=0.01)
+    code, _, err = run_cli(
+        ["identify", str(log), "--max-iter", "-3", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "max_iter must be a nonnegative integer, got -3" in err
+
+
+def _assert_json_close(got, want, where="$"):
+    """Equal structure and non-float values; floats within 1e-8 relative."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-8), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_json_close(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+def test_identify_output_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    plant = PROJECT.plants["ascension_velocity"]
+    _write_dataset(tmp_path / "clean.csv", plant, seed=11, noise_frac=0.002)
+    _write_dataset(tmp_path / "noisy.csv", plant, seed=12, noise_frac=0.08)
+    argv = ["identify", "clean.csv", "noisy.csv", "--augment", "--out", "out"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == (DATA / "identify.txt").read_bytes()
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    _assert_json_close(
+        json.loads(out), json.loads((DATA / "identify.json").read_text())
+    )
+
+
 # ---------------------------------------------------------------------------
 # workspace
 
@@ -360,6 +408,32 @@ def test_reproduce_simulates_each_tracking_case_once(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # top-level parser
+
+
+def test_options_are_accepted_only_where_read(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
+                   noise_frac=0.01)
+    code, _, _ = run_cli(["reproduce", "--ts", "0.001"], capsys)
+    assert code == 2
+    code, _, _ = run_cli(
+        ["identify", str(log), "--band", "5", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, gemservo.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_version_and_usage_errors(capsys):

@@ -2,10 +2,13 @@
 the simulation-error fit, dataset loading and model selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gemservo import sysid
 from gemservo.lti import TransferFunction, discretize_zoh, poles, simulate, system_type, tf_to_ss
 from gemservo.sysid import (
     DataSet,
@@ -290,6 +293,39 @@ def test_fit_flags_unstable_model_without_rejecting():
     rep = fit_second_order(ds, initial_guess=(0.1, -0.5, 1500.0), max_iter=0)
     assert not rep.converged
     assert not rep.stable
+
+
+def test_fit_rejects_negative_max_iter():
+    ds = _step_data(ASC_MODEL)
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        fit_second_order(ds, max_iter=-3)
+
+
+def test_fit_rejects_a_guess_whose_simulation_overflows():
+    # poles near +400 rad/s grow ~5x per sample: 2000 samples overflow
+    ds = _step_data(ASC_MODEL, ts=0.004, n=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="fit failed"):
+            fit_second_order(ds, initial_guess=(1.0, -400.0, 1.0))
+
+
+@settings(deadline=None)
+@given(
+    b0=st.floats(1e-3, 10.0),
+    a1=st.floats(-5.0, 300.0),
+    a0=st.floats(1.0, 1e5),
+    ts=st.floats(1e-3, 1e-2),
+    n=st.integers(10, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
+    u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
+    model = TransferFunction((b0,), (1.0, a1, a0))
+    ref, _ = simulate(discretize_zoh(tf_to_ss(model), ts), u)
+    r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
+    assert r is not None
+    assert float(np.max(np.abs(r - ref))) <= 1e-9 * float(np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
