@@ -6,14 +6,16 @@ Transfer function: ``{"num": [...], "den": [...]}`` - coefficient arrays in
 descending powers of s.
 
 Controller: ``{"type": "pid", "kp": .., "ki": .., "kd": .., "n": ..}`` with
-kd and n optional (defaults 0 and 100 rad/s) and optional ``umin``/``umax``
-actuator limits (defaults 0 and 350000 Hz), or
+kd and n optional (defaults 0 and 100 rad/s), or
 ``{"type": "sf", "k1": [..], "k2": ..}``, or
 ``{"type": "sf", "poles": [[re, im], ...]}`` - the pole-design form, resolved
 with the scenario's plant via pole placement on load. Scenario files may also
 name a project controller with a plain string.
 
-Limits: ``{"umin": .., "umax": ..}``.
+Limits: ``{"umin": .., "umax": ..}``, the one place actuator limits are set:
+a scenario's ``limits``, else the project's ``defaults.limits``. A PID
+controller object carrying ``umin``/``umax`` is rejected, since the run would
+override them.
 
 Requirement: ``{"amplitude": .., "tss_max": .., "os_max": .., "ess_max": ..,
 "units": ".."}``.
@@ -39,7 +41,7 @@ from pathlib import Path
 from .controllers import ActuatorLimits, PidGains, StateFeedbackGains, place_poles
 from .kinematics import MountGeometry
 from .lti import TransferFunction
-from .metrics import CONSTANTS, Requirement
+from .metrics import Requirement
 from .simloop import DisturbanceSpec, Scenario, SignalSpec
 
 __all__ = [
@@ -109,16 +111,19 @@ def controller_from_json(
 ) -> PidGains | StateFeedbackGains:
     kind = _get(obj, "type", ctx)
     if kind == "pid":
+        for key in ("umin", "umax"):
+            if key in obj:
+                raise ConfigError(
+                    f"{ctx}.{key}: PID controllers take no actuator limits; set "
+                    "them under the scenario's 'limits' or the project's "
+                    "'defaults.limits'"
+                )
         try:
             return PidGains(
                 kp=_num(_get(obj, "kp", ctx), f"{ctx}.kp"),
                 ki=_num(_get(obj, "ki", ctx), f"{ctx}.ki"),
                 kd=_num(obj.get("kd", 0.0), f"{ctx}.kd"),
                 deriv_filter_n=_num(obj.get("n", 100.0), f"{ctx}.n"),
-                u_min=_num(obj.get("umin", 0.0), f"{ctx}.umin"),
-                u_max=_num(
-                    obj.get("umax", CONSTANTS.actuator_max_hz), f"{ctx}.umax"
-                ),
             )
         except ValueError as exc:
             raise ConfigError(f"{ctx}: {exc}") from None
@@ -159,17 +164,13 @@ def controller_from_json(
 
 def controller_to_json(controller: PidGains | StateFeedbackGains) -> dict:
     if isinstance(controller, PidGains):
-        out = {
+        return {
             "type": "pid",
             "kp": controller.kp,
             "ki": controller.ki,
             "kd": controller.kd,
             "n": controller.deriv_filter_n,
         }
-        if controller.u_min != 0.0 or controller.u_max != CONSTANTS.actuator_max_hz:
-            out["umin"] = controller.u_min
-            out["umax"] = controller.u_max
-        return out
     return {"type": "sf", "k1": list(controller.k1), "k2": controller.k2}
 
 

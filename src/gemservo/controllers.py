@@ -10,6 +10,7 @@ state ordering produced by :func:`gemservo.lti.tf_to_ss`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -342,9 +343,7 @@ def _freq_mag(plant: TransferFunction, w: float) -> float:
     return abs(num / den)
 
 
-def _candidate_gains(
-    plant: TransferFunction, req: Requirement, use_derivative: bool | None
-) -> list[PidGains]:
+def _candidate_gains(plant: TransferFunction, req: Requirement) -> list[PidGains]:
     """Deterministic candidate list: analytic seeds first, then a log grid."""
     cands: list[PidGains] = []
     sigma = 4.0 / req.tss_max  # 2%-band settling rate for a dominant pair
@@ -354,17 +353,16 @@ def _candidate_gains(
     if n_type == 0 and plant.order == 2 and b0 != 0.0:
         a1 = plant.den[1]
         a0 = plant.den[2]
-        if use_derivative is not False:
-            # full PID pole placement on the 3rd-order closed loop:
-            # s^3 + (a1 + b0 kd) s^2 + (a0 + b0 kp) s + b0 ki
-            for zeta, far, f in ((0.8, 5.0, 1.25), (0.9, 6.0, 1.5), (0.75, 4.0, 1.0)):
-                sg = f * sigma
-                wn = sg / zeta
-                kd = (2.0 * sg + far * sg - a1) / b0
-                kp = (wn * wn + 2.0 * sg * far * sg - a0) / b0
-                ki = wn * wn * far * sg / b0
-                if kp > 0.0 and ki > 0.0:
-                    cands.append(PidGains(kp, ki, max(kd, 0.0)))
+        # full PID pole placement on the 3rd-order closed loop:
+        # s^3 + (a1 + b0 kd) s^2 + (a0 + b0 kp) s + b0 ki
+        for zeta, far, f in ((0.8, 5.0, 1.25), (0.9, 6.0, 1.5), (0.75, 4.0, 1.0)):
+            sg = f * sigma
+            wn = sg / zeta
+            kd = (2.0 * sg + far * sg - a1) / b0
+            kp = (wn * wn + 2.0 * sg * far * sg - a0) / b0
+            ki = wn * wn * far * sg / b0
+            if kp > 0.0 and ki > 0.0:
+                cands.append(PidGains(kp, ki, max(kd, 0.0)))
         for f in (1.0, 1.5, 2.5, 4.0):
             wc = f * sigma
             mag = _freq_mag(plant, wc)
@@ -420,20 +418,20 @@ def tune_pid(
     ts: float = CONSTANTS.default_ts,
     limits: ActuatorLimits = DEFAULT_LIMITS,
     band_pct: float = CONSTANTS.default_band_pct,
-    use_derivative: bool | None = None,
     use_integral: bool = True,
-    refine_rounds: int = 2,
 ) -> PidGains:
     """Search for PID gains meeting the requirement in closed-loop simulation.
 
     Fully deterministic: analytic pole-placement / loop-shaping seeds, a
-    coarse log grid, and multiplicative local refinement around the best
-    near-miss. Every returned gain set has been verified by simulating the
-    saturated loop long enough to confirm tss, overshoot and steady-state
-    error. The plant must be BIBO stable or integrating with otherwise
-    stable poles. With use_integral=False every candidate is clamped to
-    ki = 0, which on a type-0 plant leaves a steady-state offset that no
-    zero-ess requirement can accept. Raises TuningError when nothing passes.
+    coarse log grid, then up to two rounds of multiplicative local refinement
+    around the best near-miss. The sampled-loop decay rate of each distinct
+    gain set is computed once. Every returned gain set has been verified by
+    simulating the saturated loop long enough to confirm tss, overshoot and
+    steady-state error. The plant must be BIBO stable or integrating with
+    otherwise stable poles. With use_integral=False every candidate is
+    clamped to ki = 0, which on a type-0 plant leaves a steady-state offset
+    that no zero-ess requirement can accept. Raises TuningError when nothing
+    passes.
     """
     from . import simloop  # deferred: simloop imports this module at load time
 
@@ -455,9 +453,13 @@ def tune_pid(
         )
         return simloop.run(scen)
 
+    @functools.cache
+    def decay_rate(gains: PidGains) -> float | None:
+        return simloop.sampled_decay_rate(plant, gains, ts)
+
     def evaluate(gains: PidGains):
         """Returns (verdict, metrics) from a full-length run, or None."""
-        rate = simloop.sampled_decay_rate(plant, gains, ts)
+        rate = decay_rate(gains)
         if rate is None:
             return None
         duration = min(max(2.0 * req.tss_max, 20.0 / rate), 600.0)
@@ -468,7 +470,7 @@ def tune_pid(
         return check_requirements(m, req), m
 
     def screen(gains: PidGains) -> bool:
-        if simloop.sampled_decay_rate(plant, gains, ts) is None:
+        if decay_rate(gains) is None:
             return False
         trace = run(gains, 2.0 * req.tss_max)
         if trace.diverged:
@@ -488,7 +490,7 @@ def tune_pid(
         s += m.ess / max(abs(req.amplitude) * 1e-6 + req.ess_max, 1e-12)
         return s
 
-    candidates = _candidate_gains(plant, req, use_derivative)
+    candidates = _candidate_gains(plant, req)
     if not use_integral:
         candidates = [replace(g, ki=0.0) for g in candidates]
         seen: set[tuple[float, float, float]] = set()
@@ -502,7 +504,7 @@ def tune_pid(
 
     best: tuple[float, PidGains] | None = None
     pool = list(candidates)
-    for _ in range(refine_rounds + 1):
+    for _ in range(3):
         for gains in pool:
             if not screen(gains):
                 continue

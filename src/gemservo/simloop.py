@@ -28,6 +28,7 @@ from .controllers import (
 from .lti import StateSpace, TransferFunction, discretize_zoh, tf_to_ss
 from .metrics import (
     CONSTANTS,
+    ESS_REL_TOL,
     DisturbanceMetrics,
     Requirement,
     RequirementVerdict,
@@ -396,50 +397,40 @@ def discrete_loop_matrix(
     """One-step transition matrix of the sampled closed loop, saturation off.
 
     For a PID the state is [plant x, integral, filtered derivative, previous
-    error]; for state feedback it is [plant x, integral]. The spectral radius
-    of this matrix decides whether the loop the simulator actually runs is
-    stable — which the continuous-time pole helpers cannot, since aggressive
-    gains that look fine in continuous time can destabilize the 10 ms loop.
+    error]; for state feedback it is [plant x, integral]. Column j is one
+    sample of the loop :func:`run` executes, started from the unit state e_j
+    with the reference at zero and the actuator limits open, so the matrix
+    follows ``pid_step``/``sf_step`` by construction. Its spectral radius
+    decides whether the simulated loop is stable — which the continuous-time
+    pole helpers cannot, since aggressive gains that look fine in continuous
+    time can destabilize the 10 ms loop.
     """
     ss = tf_to_ss(plant)
     dss = discretize_zoh(ss, ts)
     n = ss.order
-    Ad = dss.Ad
     bd = dss.Bd[:, 0]
     c = ss.C[0, :]
-    if isinstance(controller, PidGains):
-        g = controller
+    is_pid = isinstance(controller, PidGains)
+    if is_pid:
+        gains = replace(controller, u_min=-math.inf, u_max=math.inf)
         m = n + 3
-        # z = [x, I_prev, D_prev, e_prev]; rows below express the updated
-        # quantities as linear forms over z (reference held at zero)
-        e_row = np.concatenate([-c, [0.0, 0.0, 0.0]])
-        i_row = np.concatenate([-0.5 * ts * c, [1.0, 0.0, 0.5 * ts]])
-        if g.kd != 0.0:
-            tf_c = 1.0 / g.deriv_filter_n
-            a = 1.0 / (tf_c + ts)
-            d_row = np.concatenate([-a * c, [0.0, a * tf_c, -a]])
+    else:
+        if len(controller.k1) != n:
+            raise ValueError(
+                f"k1 has {len(controller.k1)} entries but the plant has {n} states"
+            )
+        open_limits = ActuatorLimits(-math.inf, math.inf)
+        m = n + 1
+    phi = np.empty((m, m))
+    for j, z in enumerate(np.eye(m)):
+        x = z[:n]
+        y = float(c @ x)
+        if is_pid:
+            u, _, s = pid_step(gains, PidState(*z[n:]), -y, ts)
+            phi[n:, j] = (s.integral, s.deriv, s.prev_error)
         else:
-            d_row = np.zeros(m)
-        u_row = g.kp * e_row + g.ki * i_row + g.kd * d_row
-        phi = np.zeros((m, m))
-        phi[:n, :n] = Ad
-        phi[:n, :] += np.outer(bd, u_row)
-        phi[n, :] = i_row
-        phi[n + 1, :] = d_row
-        phi[n + 2, :] = e_row
-        return phi
-    g = controller
-    if len(g.k1) != n:
-        raise ValueError(f"k1 has {len(g.k1)} entries but the plant has {n} states")
-    k1 = np.asarray(g.k1, dtype=float)
-    m = n + 1
-    phi = np.zeros((m, m))
-    # u_k = k2 (xi_k + ts (r - y_k)) - k1 x_k with r = 0
-    u_row = np.concatenate([-(k1 + ts * g.k2 * c), [g.k2]])
-    phi[:n, :n] = Ad
-    phi[:n, :] += np.outer(bd, u_row)
-    phi[n, :n] = -ts * c
-    phi[n, n] = 1.0
+            u, _, phi[n, j] = sf_step(controller, x, z[n], 0.0, y, ts, open_limits)
+        phi[:n, j] = dss.Ad @ x + bd * u
     return phi
 
 
@@ -542,61 +533,42 @@ def _run_disturbance_case(
     magnitude_fraction: float,
     inject: str,
 ) -> DisturbanceRow:
-    kind = track_row.controller_kind
     m = track_row.metrics
-    if track_row.diverged or m is None or not m.settled:
-        return DisturbanceRow(
+    evaluated = not track_row.diverged and m is not None and m.settled
+    diverged = track_row.diverged
+    amp = onset = 0.0
+    dm = None
+    if evaluated:
+        tss = m.tss if m.tss and m.tss > 0.0 else 10.0 * case.ts
+        onset = max(2.0 * tss, 20.0 * case.ts)
+        n_tail = max(1, int(round(0.05 * len(track_trace))))
+        u_ss = float(np.mean(track_trace.u_sat[-n_tail:]))
+        amp = magnitude_fraction * u_ss
+        scen = Scenario(
+            plant=case.plant,
+            controller=case.controller,
+            reference=SignalSpec(shape="step", amplitude=case.requirement.amplitude),
+            duration=onset + track_row.duration,
+            ts=case.ts,
+            limits=case.limits,
+            disturbance=DisturbanceSpec(
+                shape="step", amplitude=amp, start=onset, inject=inject
+            ),
             label=case.label,
-            controller_kind=kind,
-            evaluated=False,
-            amplitude=0.0,
-            onset=0.0,
-            metrics=None,
-            rejected=False,
-            diverged=track_row.diverged,
-            tracking=track_row,
         )
-    tss = m.tss if m.tss and m.tss > 0.0 else 10.0 * case.ts
-    onset = max(2.0 * tss, 20.0 * case.ts)
-    n_tail = max(1, int(round(0.05 * len(track_trace))))
-    u_ss = float(np.mean(track_trace.u_sat[-n_tail:]))
-    amp = magnitude_fraction * u_ss
-    duration = onset + track_row.duration
-    scen = Scenario(
-        plant=case.plant,
-        controller=case.controller,
-        reference=SignalSpec(shape="step", amplitude=case.requirement.amplitude),
-        duration=duration,
-        ts=case.ts,
-        limits=case.limits,
-        disturbance=DisturbanceSpec(
-            shape="step", amplitude=amp, start=onset, inject=inject
-        ),
-        label=case.label,
-    )
-    trace = run(scen)
-    if trace.diverged or len(trace) < 2:
-        return DisturbanceRow(
-            label=case.label,
-            controller_kind=kind,
-            evaluated=True,
-            amplitude=amp,
-            onset=onset,
-            metrics=None,
-            rejected=False,
-            diverged=True,
-            tracking=track_row,
-        )
-    dm = analyze_disturbance(trace, onset, case.band_pct)
-    rejected = dm.final_error <= 1e-6 * abs(case.requirement.amplitude)
+        trace = run(scen)
+        diverged = trace.diverged or len(trace) < 2
+        if not diverged:
+            dm = analyze_disturbance(trace, onset, case.band_pct)
     return DisturbanceRow(
         label=case.label,
-        controller_kind=kind,
-        evaluated=True,
+        controller_kind=track_row.controller_kind,
+        evaluated=evaluated,
         amplitude=amp,
         onset=onset,
         metrics=dm,
-        rejected=rejected,
-        diverged=False,
+        rejected=dm is not None
+        and dm.final_error <= ESS_REL_TOL * abs(case.requirement.amplitude),
+        diverged=diverged,
         tracking=track_row,
     )

@@ -126,6 +126,22 @@ def test_simulate_unknown_scenario_exits_two(tmp_path, capsys):
     assert "no bundled scenario" in err
 
 
+def test_simulate_pid_limits_in_controller_exit_two(tmp_path, capsys):
+    # the run takes its limits from "limits" alone, so a PID "umax" would be
+    # silently overridden (the loop still hit the 350 kHz rail)
+    path = tmp_path / "pid_umax.json"
+    path.write_text(json.dumps({
+        "plant": "ascension_velocity",
+        "controller": {"type": "pid", "kp": 2000, "ki": 5000, "umax": 100000},
+        "reference": {"shape": "step", "amplitude": 10.0},
+        "duration": 2.0,
+    }))
+    code, out, err = run_cli(["simulate", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"{path}.controller.umax: " in err
+    assert "'limits'" in err
+
+
 def test_simulate_json_mode_matches_metrics_file(tmp_path, capsys):
     code, out, err = run_cli(
         ["simulate", "ascension_velocity_sf", "--json", "--out", str(tmp_path)],

@@ -120,10 +120,13 @@ def test_pid_controller_json_defaults_and_round_trip():
                          u_min=0.0, u_max=350_000.0)
     out = controller_to_json(g)
     assert "umin" not in out and "umax" not in out
+    assert controller_from_json(out, "c") == g
+    # limits come only from a scenario's or project's "limits"
     custom = PidGains(kp=1.0, ki=0.0, kd=0.0, u_min=-5.0, u_max=5.0)
-    out = controller_to_json(custom)
-    assert out["umin"] == -5.0 and out["umax"] == 5.0
-    assert controller_from_json(out, "c") == custom
+    assert "umin" not in controller_to_json(custom)
+    for key in ("umin", "umax"):
+        with pytest.raises(ConfigError, match=rf"^c\.{key}: .*'limits'"):
+            controller_from_json({"type": "pid", "kp": 1.0, "ki": 0.0, key: 5.0}, "c")
 
 
 def test_sf_controller_json_forms():

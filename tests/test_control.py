@@ -1,11 +1,14 @@
 """Tests for the controller layer: PID stepping with anti-windup, state
 feedback with integral action, pole placement and the deterministic tuner."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gemservo import simloop
 from gemservo.config import load_project
 from gemservo.controllers import (
     DEFAULT_LIMITS,
@@ -28,6 +31,7 @@ from gemservo.simloop import Scenario, SignalSpec, run
 
 PROJECT = load_project()
 ASC_VEL = PROJECT.plants["ascension_velocity"]
+DATA = Path(__file__).parent / "data"
 
 WIDE = ActuatorLimits(-350_000.0, 350_000.0)
 UNBOUNDED = ActuatorLimits(-1e18, 1e18)
@@ -455,6 +459,37 @@ def test_tune_pid_velocity_row():
     )
     m = analyze_step(run(scen))
     assert m.settled and m.tss <= req.tss_max and m.os_pct <= req.os_max
+
+
+def test_tune_pid_reproduces_recorded_gains():
+    # tests/data/tune.json: the four benchmark rows, bit for bit
+    for row in json.loads((DATA / "tune.json").read_text()):
+        gains = tune_pid(
+            PROJECT.plants[row["plant"]],
+            PROJECT.requirements[row["plant"]],
+            ts=PROJECT.ts,
+            limits=ActuatorLimits(*row["limits"]),
+            band_pct=PROJECT.band_pct,
+        )
+        assert gains == PidGains(**row["gains"]), row["plant"]
+
+
+def test_tune_pid_computes_each_decay_rate_once(monkeypatch):
+    seen = []
+    decay_rate = simloop.sampled_decay_rate
+
+    def counting(plant, gains, ts):
+        seen.append(gains)
+        return decay_rate(plant, gains, ts)
+
+    monkeypatch.setattr(simloop, "sampled_decay_rate", counting)
+    tune_pid(
+        PROJECT.plants["declination_velocity"],
+        PROJECT.requirements["declination_velocity"],
+        ts=PROJECT.ts,
+        limits=PROJECT.limits,
+    )
+    assert len(seen) == len(set(seen)) == 25
 
 
 def test_tune_pid_no_solution_without_integral_on_type0_plant():

@@ -1,0 +1,53 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gemservo"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports at top level but never reads. A name listed in
+    the module's ``__all__`` is a re-export and counts as used."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {ast.literal_eval(e) for e in node.value.elts}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(bound.items(), key=lambda item: item[1])
+        if name not in read and name not in exported
+    ]
+
+
+def test_package_has_no_unused_module_level_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    unused = [hit for path in modules for hit in _unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import numpy as np\n"
+        "from math import pi, tau\n"
+        "from .x import Exported\n"
+        "__all__ = ['Exported']\n"
+        "def f(a: np.ndarray) -> float:\n"
+        "    return pi\n"
+    )
+    assert _unused_imports(src) == ["mod.py:2: os", "mod.py:4: tau"]

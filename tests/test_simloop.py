@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemservo.config import load_project
 from gemservo.controllers import (
@@ -14,7 +15,7 @@ from gemservo.controllers import (
     StateFeedbackGains,
     place_poles,
 )
-from gemservo.lti import TransferFunction, dc_gain
+from gemservo.lti import TransferFunction, dc_gain, discretize_zoh, tf_to_ss
 from gemservo.metrics import Requirement, analyze_step
 from gemservo.simloop import (
     DisturbanceSpec,
@@ -460,3 +461,84 @@ def test_sampled_decay_rate_matches_spectral_radius():
     assert sampled_decay_rate(DECL_VEL, decl, ts) == pytest.approx(
         -math.log(rho) / ts, rel=1e-12
     )
+
+
+def _hand_loop_matrix(plant, controller, ts):
+    """Reference: the sampled closed loop linearized by hand, row by row
+    (trapezoidal integral, backward-Euler filtered derivative, forward-Euler
+    state-feedback integral), reference at zero and saturation off."""
+    ss = tf_to_ss(plant)
+    dss = discretize_zoh(ss, ts)
+    n = ss.order
+    Ad = dss.Ad
+    bd = dss.Bd[:, 0]
+    c = ss.C[0, :]
+    if isinstance(controller, PidGains):
+        g = controller
+        m = n + 3
+        # z = [x, I_prev, D_prev, e_prev]
+        e_row = np.concatenate([-c, [0.0, 0.0, 0.0]])
+        i_row = np.concatenate([-0.5 * ts * c, [1.0, 0.0, 0.5 * ts]])
+        if g.kd != 0.0:
+            tf_c = 1.0 / g.deriv_filter_n
+            a = 1.0 / (tf_c + ts)
+            d_row = np.concatenate([-a * c, [0.0, a * tf_c, -a]])
+        else:
+            d_row = np.zeros(m)
+        u_row = g.kp * e_row + g.ki * i_row + g.kd * d_row
+        phi = np.zeros((m, m))
+        phi[:n, :n] = Ad
+        phi[:n, :] += np.outer(bd, u_row)
+        phi[n, :] = i_row
+        phi[n + 1, :] = d_row
+        phi[n + 2, :] = e_row
+        return phi
+    g = controller
+    k1 = np.asarray(g.k1, dtype=float)
+    m = n + 1
+    phi = np.zeros((m, m))
+    # u_k = k2 (xi_k + ts (r - y_k)) - k1 x_k with r = 0
+    u_row = np.concatenate([-(k1 + ts * g.k2 * c), [g.k2]])
+    phi[:n, :n] = Ad
+    phi[:n, :] += np.outer(bd, u_row)
+    phi[n, :n] = -ts * c
+    phi[n, n] = 1.0
+    return phi
+
+
+def test_loop_matrix_equals_hand_linearization_on_bundled_controllers():
+    for name, controller in PROJECT.controllers.items():
+        plant = PROJECT.plants[name.rsplit("_", 1)[0]]
+        phi = discrete_loop_matrix(plant, controller, PROJECT.ts)
+        assert np.array_equal(phi, _hand_loop_matrix(plant, controller, PROJECT.ts)), name
+    with pytest.raises(ValueError, match="k1 has 3 entries but the plant has 2 states"):
+        discrete_loop_matrix(ASC_VEL, StateFeedbackGains((1.0, 2.0, 3.0), 1.0))
+
+
+_PLANTS = st.sampled_from(sorted(PROJECT.plants))
+_TS = st.floats(1e-3, 1e-2)
+
+
+@st.composite
+def _loop_controllers(draw):
+    plant = PROJECT.plants[draw(_PLANTS)]
+    kind = draw(st.sampled_from(["pi", "pid", "sf"]))
+    if kind == "sf":
+        k1 = draw(st.lists(st.floats(-1e5, 1e5), min_size=plant.order,
+                           max_size=plant.order))
+        return plant, StateFeedbackGains(tuple(k1), draw(st.floats(-1e6, 1e6)))
+    kd = 0.0 if kind == "pi" else draw(st.floats(1e-3, 1e4))
+    return plant, PidGains(
+        draw(st.floats(-1e5, 1e5)), draw(st.floats(-1e6, 1e6)), kd,
+        deriv_filter_n=draw(st.floats(1.0, 1e3)),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(loop=_loop_controllers(), ts=_TS)
+def test_loop_matrix_matches_hand_linearization(loop, ts):
+    plant, controller = loop
+    phi = discrete_loop_matrix(plant, controller, ts)
+    ref = _hand_loop_matrix(plant, controller, ts)
+    assert phi.shape == ref.shape
+    assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
