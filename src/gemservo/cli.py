@@ -159,7 +159,25 @@ def cmd_identify(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _simulate_summary(loaded, trace, m, verdict, limits) -> list[str]:
+def _metrics_line(m: StepMetrics) -> str:
+    return (
+        f"tss: {_g(m.tss)} s  os: {_g(m.os_pct, '%.4g')} %  "
+        f"ess: {_g(m.ess, '%.4g')}  settled: {'yes' if m.settled else 'no'}  "
+        f"y_final: {_g(m.y_final)}"
+    )
+
+
+def _replay(loaded, band: float):
+    """Run a loaded scenario; returns (trace, metrics, verdict, limits)."""
+    trace = simloop.run(loaded.scenario)
+    m = analyze_step(trace, band) if len(trace) >= 2 else None
+    verdict = None
+    if loaded.requirement is not None and m is not None and not trace.diverged:
+        verdict = check_requirements(m, loaded.requirement)
+    return trace, m, verdict, loaded.scenario.effective_limits()
+
+
+def _simulate_summary(loaded, trace, m, verdict, limits, doc) -> list[str]:
     lines = [f"scenario: {loaded.scenario.label or loaded.name}"]
     lines.append(
         f"samples: {len(trace)}  ts: {_g(trace.ts)} s  "
@@ -168,16 +186,12 @@ def _simulate_summary(loaded, trace, m, verdict, limits) -> list[str]:
     if trace.diverged:
         lines.append("DIVERGED: output magnitude exceeded the divergence guard")
     if m is not None:
-        lines.append(
-            f"tss: {_g(m.tss)} s  os: {_g(m.os_pct, '%.4g')} %  "
-            f"ess: {_g(m.ess, '%.4g')}  settled: {'yes' if m.settled else 'no'}  "
-            f"y_final: {_g(m.y_final)}"
-        )
+        lines.append(_metrics_line(m))
     lines.append(
-        f"max control: {_g(simloop.max_control(trace))} Hz  "
+        f"max control: {_g(doc['max_control'])} Hz  "
         f"saturation: {100.0 * trace.saturation_fraction:.2f} % of samples"
     )
-    n_neg = int(np.sum(trace.u < limits.u_min))
+    n_neg = doc["clipped_low_samples"]
     if n_neg:
         lines.append(
             f"note: {n_neg} command sample(s) fell below the {_g(limits.u_min)} Hz "
@@ -185,11 +199,9 @@ def _simulate_summary(loaded, trace, m, verdict, limits) -> list[str]:
             "physically realizable)"
         )
     if verdict is not None:
-        det = (
-            f"settled={'ok' if verdict.settled_ok else 'fail'} "
-            f"tss={'ok' if verdict.tss_ok else 'fail'} "
-            f"os={'ok' if verdict.os_ok else 'fail'} "
-            f"ess={'ok' if verdict.ess_ok else 'fail'}"
+        det = " ".join(
+            f"{k}={'ok' if getattr(verdict, k + '_ok') else 'fail'}"
+            for k in ("settled", "tss", "os", "ess")
         )
         lines.append(
             f"requirement: {'PASS' if verdict.passed else 'FAIL'} ({det})"
@@ -206,18 +218,13 @@ def cmd_simulate(args) -> int:
         scenario = replace(scenario, limits=ActuatorLimits(-m, m))
     if args.loop_delay:
         scenario = replace(scenario, loop_delay=True)
+    loaded = replace(loaded, scenario=scenario)
     band = args.band if args.band is not None else project.band_pct
-
-    trace = simloop.run(scenario)
-    m = analyze_step(trace, band) if len(trace) >= 2 else None
-    verdict = None
-    if loaded.requirement is not None and m is not None and not trace.diverged:
-        verdict = check_requirements(m, loaded.requirement)
+    trace, m, verdict, limits = _replay(loaded, band)
 
     out = _out_dir(args)
     trace_path = out / f"{loaded.name}_trace.csv"
     simloop.write_trace_csv(trace, trace_path)
-    limits = scenario.effective_limits()
     doc = {
         "scenario": loaded.name,
         "label": scenario.label,
@@ -236,7 +243,7 @@ def cmd_simulate(args) -> int:
     if args.json:
         sys.stdout.write(_json_dump(doc))
     else:
-        for line in _simulate_summary(loaded, trace, m, verdict, limits):
+        for line in _simulate_summary(loaded, trace, m, verdict, limits, doc):
             print(line)
         print(f"wrote {trace_path}")
         print(f"wrote {metrics_path}")
@@ -319,15 +326,13 @@ def cmd_metrics(args) -> int:
     m = analyze_step(trace, band)
 
     verdict = None
-    req = None
     if args.check:
         if args.check not in project.requirements:
             raise ConfigError(
                 f"unknown requirement {args.check!r} "
                 f"(known: {', '.join(sorted(project.requirements))})"
             )
-        req = project.requirements[args.check]
-        verdict = check_requirements(m, req)
+        verdict = check_requirements(m, project.requirements[args.check])
 
     doc = {
         "trace": str(args.trace),
@@ -340,17 +345,10 @@ def cmd_metrics(args) -> int:
     if args.json:
         sys.stdout.write(_json_dump(doc))
     else:
-        print(
-            f"tss: {_g(m.tss)} s  os: {_g(m.os_pct, '%.4g')} %  "
-            f"ess: {_g(m.ess, '%.4g')}  settled: {'yes' if m.settled else 'no'}  "
-            f"y_final: {_g(m.y_final)}"
-        )
-        print(f"max control: {_g(simloop.max_control(trace))} Hz")
+        print(_metrics_line(m))
+        print(f"max control: {_g(doc['max_control'])} Hz")
         if verdict is not None:
-            print(
-                f"requirement {args.check}: "
-                f"{'PASS' if verdict.passed else 'FAIL'}"
-            )
+            print(f"requirement {args.check}: {'PASS' if verdict.passed else 'FAIL'}")
     if verdict is not None and not verdict.passed:
         return EXIT_FAIL
     return EXIT_PASS
@@ -371,33 +369,27 @@ _STUDY_ORDER = [
 
 
 def _study_cases(project: Project, band: float) -> list[simloop.TrackingCase]:
-    cases = []
-    for system, kind in _STUDY_ORDER:
-        cases.append(
-            simloop.TrackingCase(
-                label=f"{system}_{kind}",
-                plant=project.plants[system],
-                controller=project.controllers[f"{system}_{kind}"],
-                requirement=project.requirements[system],
-                ts=project.ts,
-                limits=project.limits,
-                band_pct=band,
-            )
+    return [
+        simloop.TrackingCase(
+            label=f"{system}_{kind}",
+            plant=project.plants[system],
+            controller=project.controllers[f"{system}_{kind}"],
+            requirement=project.requirements[system],
+            ts=project.ts,
+            limits=project.limits,
+            band_pct=band,
         )
-    return cases
+        for system, kind in _STUDY_ORDER
+    ]
 
 
 def _ref(project: Project, table: str, kind: str, system: str):
     return project.reference_results.get(table, {}).get(kind, {}).get(system, {})
 
 
-def _tracking_table(project, rows) -> tuple[str, list[dict], bool]:
-    """Render the step-tracking comparison; returns (text, docs, all_ok)."""
-    out_rows = []
+def _tracking_docs(project, rows) -> list[dict]:
     docs = []
-    ok = True
     for (system, kind), row in zip(_STUDY_ORDER, rows):
-        ref = _ref(project, "tracking", kind, system)
         req = project.requirements[system]
         m = row.metrics
         settled = bool(m is not None and m.settled)
@@ -406,23 +398,8 @@ def _tracking_table(project, rows) -> tuple[str, list[dict], bool]:
         if row.linearly_stable and settled:
             ess_ok = m.ess <= ESS_REL_TOL * abs(req.amplitude)
             ess_status = _ASSERT_OK if ess_ok else _ASSERT_FAIL
-            ok = ok and ess_ok
         else:
             ess_status = _REPORTED
-        out_rows.append(
-            [
-                system,
-                kind,
-                _g(m.tss if m else None, "%.4g"),
-                _g(ref.get("tss"), "%.4g"),
-                _g(m.os_pct if m else None, "%.4g"),
-                _g(ref.get("os_pct"), "%.4g"),
-                _g(m.ess if m else None, "%.3g"),
-                _g(ref.get("ess"), "%.3g"),
-                "yes" if settled else "no",
-                ess_status,
-            ]
-        )
         docs.append(
             {
                 "system": system,
@@ -430,199 +407,182 @@ def _tracking_table(project, rows) -> tuple[str, list[dict], bool]:
                 "linearly_stable": row.linearly_stable,
                 "settled": settled,
                 "metrics": _metrics_doc(m),
-                "reference": ref,
+                "reference": _ref(project, "tracking", kind, system),
                 "ess_status": ess_status,
             }
         )
-    text = table_report(
-        [
-            "loop", "ctrl", "tss(s)", "tss ref", "os(%)", "os ref",
-            "ess", "ess ref", "settled", "ess cell",
-        ],
-        out_rows,
-        title="step tracking: published gains replayed (ref = published values; "
-        "tss/os reported, not asserted)",
-    )
-    return text, docs, ok
+    return docs
 
 
-def _disturbance_table(project, drows) -> tuple[str, list[dict], bool]:
-    out_rows = []
+def _disturbance_docs(project, drows) -> list[dict]:
     docs = []
-    ok = True
     for (system, kind), row in zip(_STUDY_ORDER, drows):
-        ref = _ref(project, "disturbance", kind, system)
+        doc = {
+            "system": system,
+            "kind": kind,
+            "evaluated": False,
+            "reference": _ref(project, "disturbance", kind, system),
+        }
         if not row.evaluated or row.metrics is None:
-            status = "not evaluated (loop does not settle)"
-            if row.diverged:
-                status = "diverged"
-            out_rows.append(
-                [system, kind, "-", "-", _g(ref.get("os_pct"), "%.4g"), "-", status]
+            doc["status"] = (
+                "diverged" if row.diverged
+                else "not evaluated (loop does not settle)"
             )
-            docs.append(
-                {
-                    "system": system,
-                    "kind": kind,
-                    "evaluated": False,
-                    "reference": ref,
-                    "status": status,
-                }
+        else:
+            dm = row.metrics
+            doc.update(
+                evaluated=True,
+                amplitude=row.amplitude,
+                onset=row.onset,
+                peak_dev_pct=dm.peak_dev_pct,
+                recovery_time=dm.recovery_time,
+                final_error=dm.final_error,
+                status=_ASSERT_OK if row.rejected else _ASSERT_FAIL,
             )
-            continue
-        dm = row.metrics
-        status = _ASSERT_OK if row.rejected else _ASSERT_FAIL
-        ok = ok and row.rejected
-        out_rows.append(
-            [
-                system,
-                kind,
-                _g(dm.peak_dev_pct, "%.4g"),
-                _g(dm.recovery_time, "%.4g"),
-                _g(ref.get("os_pct"), "%.4g"),
-                _g(dm.final_error, "%.3g"),
-                status,
-            ]
-        )
-        docs.append(
-            {
-                "system": system,
-                "kind": kind,
-                "evaluated": True,
-                "amplitude": row.amplitude,
-                "onset": row.onset,
-                "peak_dev_pct": dm.peak_dev_pct,
-                "recovery_time": dm.recovery_time,
-                "final_error": dm.final_error,
-                "reference": ref,
-                "status": status,
-            }
-        )
-    text = table_report(
-        [
-            "loop", "ctrl", "peak dev(%)", "recovery(s)", "peak ref(%)",
-            "final err", "final-err cell",
-        ],
-        out_rows,
-        title="disturbance rejection: constant input load, 10% of steady "
-        "control (peak ref uses an unpublished magnitude; reported, not "
-        "asserted)",
-    )
-    return text, docs, ok
+        docs.append(doc)
+    return docs
 
 
-def _max_control_table(project, rows) -> tuple[str, list[dict], bool]:
-    out_rows = []
+def _max_control_docs(project, rows) -> list[dict]:
     docs = []
-    ok = True
     for (system, kind), row in zip(_STUDY_ORDER, rows):
         ref = _ref(project, "max_control_khz", kind, system)
-        ours_khz = row.max_control / 1000.0
         if kind == "pid" and row.upper_saturated:
             cell_ok = row.max_control == CONSTANTS.actuator_max_hz
             status = _ASSERT_OK if cell_ok else _ASSERT_FAIL
-            ok = ok and cell_ok
         else:
             status = _REPORTED
-        out_rows.append(
-            [
-                system,
-                kind,
-                _g(ours_khz, "%.4g"),
-                _g(ref if isinstance(ref, (int, float)) else None, "%.4g"),
-                f"{100.0 * row.saturation_fraction:.2f}",
-                "yes" if row.clipped_negative else "no",
-                status,
-            ]
-        )
         docs.append(
             {
                 "system": system,
                 "kind": kind,
-                "max_control_khz": ours_khz,
+                "max_control_khz": row.max_control / 1000.0,
                 "reference_khz": ref if isinstance(ref, (int, float)) else None,
                 "saturation_pct": 100.0 * row.saturation_fraction,
                 "clipped_negative": row.clipped_negative,
                 "status": status,
             }
         )
-    text = table_report(
-        [
-            "loop", "ctrl", "max u(kHz)", "ref(kHz)", "sat(%)",
-            "clipped<0", "350kHz cell",
+    return docs
+
+
+def _num(*path: str, nd: str = "%.4g"):
+    """Text cell of the number at ``path`` in a row doc; "-" where absent."""
+
+    def cell(doc: dict) -> str:
+        for key in path:
+            doc = (doc or {}).get(key)
+        return _g(doc, nd)
+
+    return cell
+
+
+_LOOP = [("loop", lambda d: d["system"]), ("ctrl", lambda d: d["kind"])]
+
+# (doc key, title, [(header, cell from row doc)]) for each reproduce table
+_TABLES = [
+    (
+        "tracking",
+        "step tracking: published gains replayed (ref = published values; "
+        "tss/os reported, not asserted)",
+        _LOOP + [
+            ("tss(s)", _num("metrics", "tss")),
+            ("tss ref", _num("reference", "tss")),
+            ("os(%)", _num("metrics", "os_pct")),
+            ("os ref", _num("reference", "os_pct")),
+            ("ess", _num("metrics", "ess", nd="%.3g")),
+            ("ess ref", _num("reference", "ess", nd="%.3g")),
+            ("settled", lambda d: "yes" if d["settled"] else "no"),
+            ("ess cell", lambda d: d["ess_status"]),
         ],
-        out_rows,
-        title="maximum control signal (PID cells asserted to hit the 350 kHz "
+    ),
+    (
+        "disturbance",
+        "disturbance rejection: constant input load, 10% of steady "
+        "control (peak ref uses an unpublished magnitude; reported, not "
+        "asserted)",
+        _LOOP + [
+            ("peak dev(%)", _num("peak_dev_pct")),
+            ("recovery(s)", _num("recovery_time")),
+            ("peak ref(%)", _num("reference", "os_pct")),
+            ("final err", _num("final_error", nd="%.3g")),
+            ("final-err cell", lambda d: d["status"]),
+        ],
+    ),
+    (
+        "max_control",
+        "maximum control signal (PID cells asserted to hit the 350 kHz "
         "ceiling whenever the upper limit engages)",
+        _LOOP + [
+            ("max u(kHz)", _num("max_control_khz")),
+            ("ref(kHz)", _num("reference_khz")),
+            ("sat(%)", lambda d: f"{d['saturation_pct']:.2f}"),
+            ("clipped<0", lambda d: "yes" if d["clipped_negative"] else "no"),
+            ("350kHz cell", lambda d: d["status"]),
+        ],
+    ),
+]
+
+
+def _scenario_line(d: dict) -> str:
+    state = "diverged" if d["diverged"] else (
+        "no requirement attached" if d["passed"] is None
+        else ("requirement PASS" if d["passed"] else "requirement FAIL")
     )
-    return text, docs, ok
+    n_neg = d["clipped_low_samples"]
+    note = f", {n_neg} negative command(s) clipped" if n_neg else ""
+    return f"  {d['name']}: {state}{note}"
 
 
 def cmd_reproduce(args) -> int:
     project = load_project()
     band = args.band if args.band is not None else project.band_pct
-    cases = _study_cases(project, band)
-    drows = simloop.run_disturbance_suite(cases)
+    drows = simloop.run_disturbance_suite(_study_cases(project, band))
     rows = [drow.tracking for drow in drows]
-
-    t_text, t_docs, t_ok = _tracking_table(project, rows)
-    d_text, d_docs, d_ok = _disturbance_table(project, drows)
-    m_text, m_docs, m_ok = _max_control_table(project, rows)
-
+    doc = {
+        "tracking": _tracking_docs(project, rows),
+        "disturbance": _disturbance_docs(project, drows),
+        "max_control": _max_control_docs(project, rows),
+        "scenarios": [],
+    }
+    all_ok = not any(
+        _ASSERT_FAIL in (d.get("status"), d.get("ess_status"))
+        for key, _, _ in _TABLES
+        for d in doc[key]
+    )
+    doc["assertions_passed"] = all_ok
     # bundled scenarios replay in name order
-    scen_lines = ["bundled scenarios:"]
-    scen_docs = []
     for name in bundled_scenario_names():
-        loaded = load_scenario(name, project=project)
-        trace = simloop.run(loaded.scenario)
-        sm = analyze_step(trace, band) if len(trace) >= 2 else None
-        verdict = None
-        if loaded.requirement is not None and sm is not None and not trace.diverged:
-            verdict = check_requirements(sm, loaded.requirement)
-        limits = loaded.scenario.effective_limits()
-        n_neg = int(np.sum(trace.u < limits.u_min))
-        state = "diverged" if trace.diverged else (
-            "no requirement attached" if verdict is None
-            else ("requirement PASS" if verdict.passed else "requirement FAIL")
-        )
-        note = f", {n_neg} negative command(s) clipped" if n_neg else ""
-        scen_lines.append(f"  {name}: {state}{note}")
-        scen_docs.append(
+        trace, _, verdict, limits = _replay(load_scenario(name, project=project), band)
+        doc["scenarios"].append(
             {
                 "name": name,
                 "diverged": trace.diverged,
                 "passed": None if verdict is None else verdict.passed,
-                "clipped_low_samples": n_neg,
+                "clipped_low_samples": int(np.sum(trace.u < limits.u_min)),
             }
         )
 
-    all_ok = t_ok and d_ok and m_ok
-    doc = {
-        "tracking": t_docs,
-        "disturbance": d_docs,
-        "max_control": m_docs,
-        "scenarios": scen_docs,
-        "assertions_passed": all_ok,
-    }
-    if args.out:
-        report_path = _out_dir(args) / "reproduce.json"
+    report_path = _out_dir(args) / "reproduce.json" if args.out else None
+    if report_path:
         _write_text(report_path, _json_dump(doc))
     if args.json:
         sys.stdout.write(_json_dump(doc))
     else:
-        print(t_text)
-        print()
-        print(d_text)
-        print()
-        print(m_text)
-        print()
-        print("\n".join(scen_lines))
+        for key, title, columns in _TABLES:
+            header = [h for h, _ in columns]
+            cells = [[cell(d) for _, cell in columns] for d in doc[key]]
+            print(table_report(header, cells, title=title))
+            print()
+        scen_lines = [_scenario_line(d) for d in doc["scenarios"]]
+        print("\n".join(["bundled scenarios:"] + scen_lines))
         print()
         print(
             "asserted cells: "
             + ("all passed" if all_ok else "FAILURES present (see tables)")
         )
-        if args.out:
-            print(f"wrote {_out_dir(args) / 'reproduce.json'}")
+        if report_path:
+            print(f"wrote {report_path}")
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 

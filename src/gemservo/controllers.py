@@ -418,20 +418,17 @@ def tune_pid(
     ts: float = CONSTANTS.default_ts,
     limits: ActuatorLimits = DEFAULT_LIMITS,
     band_pct: float = CONSTANTS.default_band_pct,
-    use_integral: bool = True,
 ) -> PidGains:
     """Search for PID gains meeting the requirement in closed-loop simulation.
 
     Fully deterministic: analytic pole-placement / loop-shaping seeds, a
     coarse log grid, then up to two rounds of multiplicative local refinement
-    around the best near-miss. The sampled-loop decay rate of each distinct
-    gain set is computed once. Every returned gain set has been verified by
-    simulating the saturated loop long enough to confirm tss, overshoot and
-    steady-state error. The plant must be BIBO stable or integrating with
-    otherwise stable poles. With use_integral=False every candidate is
-    clamped to ki = 0, which on a type-0 plant leaves a steady-state offset
-    that no zero-ess requirement can accept. Raises TuningError when nothing
-    passes.
+    around the best near-miss. Each distinct gain set gets at most one
+    decay-rate screen, one short screening run and one full-length run.
+    Every returned gain set has been verified by simulating the saturated
+    loop long enough to confirm tss, overshoot and steady-state error. The
+    plant must be BIBO stable or integrating with otherwise stable poles.
+    Raises TuningError when nothing passes.
     """
     from . import simloop  # deferred: simloop imports this module at load time
 
@@ -457,6 +454,7 @@ def tune_pid(
     def decay_rate(gains: PidGains) -> float | None:
         return simloop.sampled_decay_rate(plant, gains, ts)
 
+    @functools.cache
     def evaluate(gains: PidGains):
         """Returns (verdict, metrics) from a full-length run, or None."""
         rate = decay_rate(gains)
@@ -469,6 +467,7 @@ def tune_pid(
         m = analyze_step(trace, band_pct)
         return check_requirements(m, req), m
 
+    @functools.cache
     def screen(gains: PidGains) -> bool:
         if decay_rate(gains) is None:
             return False
@@ -491,14 +490,6 @@ def tune_pid(
         return s
 
     candidates = _candidate_gains(plant, req)
-    if not use_integral:
-        candidates = [replace(g, ki=0.0) for g in candidates]
-        seen: set[tuple[float, float, float]] = set()
-        candidates = [
-            g
-            for g in candidates
-            if (key := (g.kp, g.ki, g.kd)) not in seen and not seen.add(key)
-        ]
     if not candidates:
         raise TuningError("could not build any tuning candidates for this plant")
 

@@ -159,7 +159,7 @@ class SimTrace:
     """Recorded closed-loop trajectory.
 
     ``u`` is the raw controller command, ``u_sat`` the clamped command the
-    plant received. ``x`` holds the plant state (one row per sample).
+    plant received, ``e = r - y`` the tracking error.
     ``saturation_fraction`` is the fraction of samples where the command was
     clamped at either limit; ``diverged`` marks truncation at the divergence
     guard. The last sample of a diverged trace records the runaway output;
@@ -173,7 +173,6 @@ class SimTrace:
     u: np.ndarray
     u_sat: np.ndarray
     y: np.ndarray
-    x: np.ndarray
     ts: float
     saturation_fraction: float
     diverged: bool
@@ -221,11 +220,9 @@ def run(scenario: Scenario) -> SimTrace:
     x = np.zeros(n)
     xi = 0.0
     state = PidState()
-    e_arr = np.empty(N)
     u_arr = np.empty(N)
     us_arr = np.empty(N)
     y_arr = np.empty(N)
-    xs = np.empty((N, n))
     u_prev = 0.0
     diverged = False
     end = N
@@ -233,11 +230,9 @@ def run(scenario: Scenario) -> SimTrace:
         yk = float(c @ x)
         if d_out:
             yk += d[k]
-        xs[k] = x
         y_arr[k] = yk
         rk = r[k]
         ek = rk - yk
-        e_arr[k] = ek
         if not math.isfinite(yk) or abs(yk) > DIVERGENCE_LIMIT:
             u_arr[k] = u_prev
             us_arr[k] = limits.clamp(u_prev)
@@ -258,13 +253,12 @@ def run(scenario: Scenario) -> SimTrace:
 
     t = t[:end]
     r = r[:end]
-    e_arr = e_arr[:end]
     u_arr = u_arr[:end]
     us_arr = us_arr[:end]
     y_arr = y_arr[:end]
-    xs = xs[:end]
+    e_arr = r - y_arr
     sat_frac = float(np.mean(u_arr != us_arr)) if end else 0.0
-    for arr in (t, r, e_arr, u_arr, us_arr, y_arr, xs):
+    for arr in (t, r, e_arr, u_arr, us_arr, y_arr):
         arr.setflags(write=False)
     return SimTrace(
         t=t,
@@ -273,7 +267,6 @@ def run(scenario: Scenario) -> SimTrace:
         u=u_arr,
         u_sat=us_arr,
         y=y_arr,
-        x=xs,
         ts=ts,
         saturation_fraction=sat_frac,
         diverged=diverged,
@@ -337,8 +330,7 @@ def read_trace_csv(path: str | Path) -> SimTrace:
         raise ValueError(f"{path}: t column must be uniformly increasing")
     sat = float(np.mean(u != us))
     return SimTrace(
-        t=t, r=r, e=e, u=u, u_sat=us, y=y,
-        x=np.zeros((t.size, 0)), ts=ts,
+        t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts,
         saturation_fraction=sat, diverged=False,
     )
 

@@ -155,6 +155,32 @@ def test_simulate_json_mode_matches_metrics_file(tmp_path, capsys):
     assert doc == on_disk
 
 
+@pytest.mark.parametrize(
+    "scenario, code",
+    [("ascension_velocity_sf", 0), ("declination_velocity_pid", 1),
+     ("sidereal_tracking_sf", 0)],
+)
+def test_simulate_output_matches_golden(scenario, code, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    for flags, ext in (([], "txt"), (["--json"], "json")):
+        got, out, _ = run_cli(["simulate", scenario, "--out", "out"] + flags,
+                              capsys)
+        assert got == code
+        assert out.encode() == (DATA / f"simulate_{scenario}.{ext}").read_bytes()
+
+
+def test_metrics_check_output_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["simulate", "ascension_velocity_sf", "--out", "out"], capsys)
+    argv = ["metrics", "out/ascension_velocity_sf_trace.csv",
+            "--check", "ascension_velocity"]
+    for flags, ext in (([], "txt"), (["--json"], "json")):
+        code, out, _ = run_cli(argv + flags, capsys)
+        assert code == 0
+        assert out.encode() == (DATA / f"metrics_check.{ext}").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # identify
 

@@ -492,11 +492,36 @@ def test_tune_pid_computes_each_decay_rate_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 25
 
 
-def test_tune_pid_no_solution_without_integral_on_type0_plant():
-    plant = TransferFunction((1.0,), (1.0, 1.0))
-    req = Requirement(tss_max=2.0, os_max=10.0, ess_max=0.0, amplitude=1.0)
-    with pytest.raises(TuningError):
-        tune_pid(plant, req, use_integral=False)
+@pytest.mark.parametrize(
+    "plant, req, limits, n_runs",
+    [
+        # kp 7788.65, ki 62309.2 is in round 1 and again in the round-2
+        # pool; screening it twice made 44 runs
+        (PROJECT.plants["declination_velocity"],
+         PROJECT.requirements["declination_velocity"], PROJECT.limits, 43),
+        # nothing passes, so score() ranks gain sets evaluate() already ran;
+        # repeating one screen and one full-length run made 94 runs
+        (TransferFunction((1.0,), (1.0, 1.0)),
+         Requirement(tss_max=0.5, os_max=0.0, ess_max=0.0, amplitude=1.0),
+         ActuatorLimits(0.0, 2.0), 92),
+    ],
+)
+def test_tune_pid_simulates_each_distinct_run_once(plant, req, limits, n_runs,
+                                                   monkeypatch):
+    runs = []
+    real_run = simloop.run
+
+    def counting(scen):
+        g = scen.controller
+        runs.append((g.kp, g.ki, g.kd, scen.duration))
+        return real_run(scen)
+
+    monkeypatch.setattr(simloop, "run", counting)
+    try:
+        tune_pid(plant, req, ts=PROJECT.ts, limits=limits)
+    except TuningError:
+        pass
+    assert len(runs) == len(set(runs)) == n_runs
 
 
 def test_tune_pid_rejects_unstable_plant():

@@ -156,7 +156,7 @@ def test_run_is_deterministic():
     scen = _step_scenario(DECL_VEL, PROJECT.controllers["declination_velocity_pid"], 10.0, 3.0)
     a = run(scen)
     b = run(scen)
-    for name in ("t", "r", "e", "u", "u_sat", "y", "x"):
+    for name in ("t", "r", "e", "u", "u_sat", "y"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     assert a.saturation_fraction == b.saturation_fraction
 
@@ -292,8 +292,8 @@ def test_max_control_is_signed():
     t = np.arange(4) * 0.01
     z = np.zeros(4)
     trace = SimTrace(
-        t=t, r=z, e=z, u=-np.ones(4), u_sat=-np.ones(4), y=z,
-        x=np.zeros((4, 0)), ts=0.01, saturation_fraction=0.0, diverged=False,
+        t=t, r=z, e=z, u=-np.ones(4), u_sat=-np.ones(4), y=z, ts=0.01,
+        saturation_fraction=0.0, diverged=False,
     )
     assert max_control(trace) == -1.0
 
