@@ -94,7 +94,10 @@ def cmd_identify(args) -> int:
     reports = []
     for path in args.datasets:
         ds = load_dataset(path)
-        reports.append(fit_second_order(ds, max_iter=args.max_iter))
+        try:
+            reports.append(fit_second_order(ds, max_iter=args.max_iter))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     best = select_best(reports)
     winner = reports[best]
 

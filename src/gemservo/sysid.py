@@ -6,8 +6,9 @@ no measured outputs are fed back into the predictor). Each candidate is
 discretized with a zero-order hold and its 2-state model is run over the
 input as one linear filter: the exact z-domain transfer function of
 (Ad, Bd, C), evaluated by ``scipy.signal.lfilter``. The optimizer is a damped
-Gauss-Newton (Levenberg-Marquardt) iteration over (b0, a1, a0) with
-central-difference Jacobians and a deterministic multistart.
+Gauss-Newton (Levenberg-Marquardt) iteration over (b0, a1, a0) with exact
+Jacobians (the output sensitivities, filtered from the same model) and a
+deterministic multistart.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import expm
 
 from .lti import (
     TransferFunction,
@@ -46,7 +48,6 @@ LOW_INPUT_THRESHOLD = 50_000.0
 
 _REL_COST_TOL = 1e-10
 _REL_STEP_TOL = 1e-10
-_JAC_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,12 @@ def fit_metrics(y: np.ndarray, y_hat: np.ndarray, n_params: int) -> FitMetrics:
     return FitMetrics(fit_pct=fit, mse=mse, fpe=fpe)
 
 
+def _zoh_block(a1: float, a0: float, ts: float) -> np.ndarray:
+    """[[A, B], [0, 0]] * ts for b0/(s^2 + a1 s + a0) in the phase-variable
+    form of ``lti.tf_to_ss``: the block ``lti.discretize_zoh`` exponentiates."""
+    return np.array([[0.0, 1.0, 0.0], [-a0, -a1, 1.0], [0.0, 0.0, 0.0]]) * ts
+
+
 def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
     """Residual and squared error of b0/(s^2 + a1 s + a0) driven by u.
 
@@ -213,22 +220,23 @@ def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
     from scipy.signal import lfilter
 
     b0, a1, a0 = (float(v) for v in theta)
+    if not (math.isfinite(b0) and math.isfinite(a1) and math.isfinite(a0)):
+        return None, math.inf
     # wildly unstable candidates overflow; the nonfinite result is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            dss = discretize_zoh(
-                tf_to_ss(TransferFunction((b0,), (1.0, a1, a0))), ts
-            )
-        except ValueError:
+        phi = expm(_zoh_block(a1, a0, ts))
+        if not np.all(np.isfinite(phi)):
             return None, math.inf
-        (a00, a01), (a10, a11) = dss.Ad
-        bd0, bd1 = dss.Bd[:, 0]
-        # exact transfer function of the sampled model from u to b0 * x1
+        # Exact transfer function of the sampled model from u to b0 * x1,
+        # formed and run in extended precision: with both poles near z = 1,
+        # rounding its coefficients to double moves the response by up to
+        # ~1e-9 relative (a1 = -5, a0 = 1, ts = 8.8 ms, 263 samples).
+        (a00, a01, bd0), (a10, a11, bd1) = phi[:2].astype(np.longdouble)
         y_hat = lfilter(
             (0.0, b0 * bd0, b0 * (a01 * bd1 - a11 * bd0)),
             (1.0, -(a00 + a11), a00 * a11 - a01 * a10),
             u,
-        )
+        ).astype(float)
         r = y_hat - y
         c = float(r @ r)
         # reject diverging outputs well before their squares overflow
@@ -237,21 +245,48 @@ def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
     return r, c
 
 
-def _jacobian(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
-    """Central-difference Jacobian of the residual, relative step 1e-6."""
-    cols = []
-    for j in range(3):
-        h = _JAC_REL_STEP * max(abs(theta[j]), 1e-12)
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        rp, cp = _cost(tp, u, y, ts)
-        rm, cm = _cost(tm, u, y, ts)
-        if rp is None or rm is None:
-            return None
-        cols.append((rp - rm) / (2.0 * h))
-    return np.column_stack(cols)
+def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
+    """Exact sensitivities d y_hat / d(b0, a1, a0) of the model output y_hat.
+
+    y_hat = N(z)/D(z) u, with N and D read from the sampled model exp(M).
+    The derivatives of exp(M) along a1 and a0 are the upper blocks of one
+    block-triangular exponential (Van Loan, 1978), and each column is
+    (dN u - dD y_hat) / D: lag taps applied to u/D and y_hat/D. Returns None
+    when a column is not finite.
+    """
+    from scipy.signal import lfilter
+
+    b0, a1, a0 = (float(v) for v in theta)
+    m = _zoh_block(a1, a0, ts)
+    big = np.zeros((9, 9))
+    for k in range(0, 9, 3):
+        big[k:k + 3, k:k + 3] = m
+    big[1, 4] = big[1, 6] = -ts  # dM/da1 and dM/da0
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = expm(big)[:2].tolist()
+        # exp(M), then its a1 and a0 derivatives: (a00, a01, bd0, a10, a11, bd1)
+        blocks = [top[0][k:k + 3] + top[1][k:k + 3] for k in (0, 3, 6)]
+        a00, a01, bd0, a10, a11, bd1 = blocks[0]
+        den = (1.0, -(a00 + a11), a00 * a11 - a01 * a10)
+        # per column, the lag-1 and lag-2 taps on u/D, then on y_hat/D
+        taps = [(bd0, a01 * bd1 - a11 * bd0, 0.0, 0.0)]
+        for da00, da01, dbd0, da10, da11, dbd1 in blocks[1:]:
+            taps.append((
+                b0 * dbd0,
+                b0 * (da01 * bd1 + a01 * dbd1 - da11 * bd0 - a11 * dbd0),
+                da00 + da11,
+                a01 * da10 + da01 * a10 - a00 * da11 - da00 * a11,
+            ))
+        w = lfilter((1.0,), den, np.stack((u, y_hat)))
+        lagged = np.zeros((4, u.size))
+        lagged[0, 1:] = w[0, :-1]
+        lagged[1, 2:] = w[0, :-2]
+        lagged[2, 1:] = w[1, :-1]
+        lagged[3, 2:] = w[1, :-2]
+        J = (np.array(taps) @ lagged).T
+    if not np.all(np.isfinite(J)):
+        return None
+    return J
 
 
 def _levenberg_marquardt(theta0, u, y, ts, max_iter):
@@ -263,7 +298,7 @@ def _levenberg_marquardt(theta0, u, y, ts, max_iter):
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        J = _jacobian(theta, u, y, ts)
+        J = _jacobian(theta, u, r + y, ts)
         if J is None:
             break
         g = J.T @ r
@@ -356,6 +391,8 @@ def fit_second_order(
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter}")
     if float(np.ptp(ds.y)) == 0.0:
         raise ValueError("output signal is constant; nothing to fit")
+    if not np.any(ds.u):
+        raise ValueError("input signal is zero; nothing to fit")
     if isinstance(initial_guess, TransferFunction):
         if initial_guess.order != 2 or len(initial_guess.num) != 1:
             raise ValueError(

@@ -259,6 +259,38 @@ def test_identify_negative_max_iter_exits_two(tmp_path, capsys):
     assert "max_iter must be a nonnegative integer, got -3" in err
 
 
+def _write_columns(path, u, y, ts=0.004):
+    lines = ["t,u,y"] + [
+        f"{k * ts!r},{float(uk)!r},{float(yk)!r}" for k, (uk, yk) in enumerate(zip(u, y))
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_identify_zero_input_exits_two(tmp_path, capsys):
+    log = tmp_path / "idle.csv"
+    _write_columns(log, np.zeros(50), np.sin(0.3 * np.arange(50)))
+    with pytest.warns(UserWarning, match="input peak"):
+        code, out, err = run_cli(["identify", str(log), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {log}: input signal is zero; nothing to fit" in err
+    assert not (tmp_path / "model_velocity.json").exists()
+
+
+def test_identify_fit_errors_name_the_log(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    flat = tmp_path / "flat.csv"
+    _write_dataset(good, PROJECT.plants["declination_velocity"], seed=3,
+                   noise_frac=0.01)
+    _write_columns(flat, np.full(50, 250_000.0), np.full(50, 1.5))
+    code, out, err = run_cli(
+        ["identify", str(good), str(flat), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flat}: output signal is constant; nothing to fit\n"
+
+
 def _assert_json_close(got, want, where="$"):
     """Equal structure and non-float values; floats within 1e-8 relative."""
     if isinstance(want, float):

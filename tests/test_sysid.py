@@ -3,12 +3,15 @@ the simulation-error fit, dataset loading and model selection."""
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from gemservo import sysid
+from gemservo.config import load_project
 from gemservo.lti import TransferFunction, discretize_zoh, poles, simulate, system_type, tf_to_ss
 from gemservo.sysid import (
     DataSet,
@@ -260,6 +263,14 @@ def test_fit_rejects_constant_output():
         fit_second_order(ds)
 
 
+def test_fit_rejects_zero_input():
+    t = np.arange(30) * 0.01
+    with pytest.warns(UserWarning, match="below 50000"):
+        ds = DataSet(t, np.zeros(30), np.sin(t))
+    with pytest.raises(ValueError, match="input signal is zero; nothing to fit"):
+        fit_second_order(ds)
+
+
 def test_fit_accepts_transfer_function_guess():
     ds = _step_data(ASC_MODEL)
     rep = fit_second_order(ds, initial_guess=ASC_MODEL)
@@ -310,8 +321,7 @@ def test_fit_rejects_a_guess_whose_simulation_overflows():
             fit_second_order(ds, initial_guess=(1.0, -400.0, 1.0))
 
 
-@settings(deadline=None)
-@given(
+_COST_CASES = dict(
     b0=st.floats(1e-3, 10.0),
     a1=st.floats(-5.0, 300.0),
     a0=st.floats(1.0, 1e5),
@@ -319,6 +329,12 @@ def test_fit_rejects_a_guess_whose_simulation_overflows():
     n=st.integers(10, 2000),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(deadline=None)
+@given(**_COST_CASES)
+# both poles near z = 1: double-precision filter coefficients missed by 1.04e-9
+@example(b0=1.0, a1=-5.0, a0=1.0, ts=0.008821800229229307, n=263, seed=295)
 def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
     model = TransferFunction((b0,), (1.0, a1, a0))
@@ -326,6 +342,100 @@ def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
     assert r is not None
     assert float(np.max(np.abs(r - ref))) <= 1e-9 * float(np.max(np.abs(ref)))
+
+
+@settings(deadline=None)
+@given(a1=_COST_CASES["a1"], a0=_COST_CASES["a0"], ts=_COST_CASES["ts"])
+def test_cost_builds_the_sampled_model_of_lti_bit_for_bit(a1, a0, ts):
+    dss = discretize_zoh(tf_to_ss(TransferFunction((1.0,), (1.0, a1, a0))), ts)
+    phi = expm(sysid._zoh_block(a1, a0, ts))
+    assert np.array_equal(phi[:2, :2], dss.Ad)
+    assert np.array_equal(phi[:2, 2:], dss.Bd)
+
+
+def test_cost_rejects_nonfinite_parameters_and_models():
+    u = np.full(50, 250_000.0)
+    y = np.zeros(50)
+    for theta in ((math.nan, 52.0, 1566.5), (0.1, math.inf, 1566.5)):
+        assert sysid._cost(np.array(theta), u, y, 0.004) == (None, math.inf)
+    # exp(M * ts) overflows
+    assert sysid._cost(np.array([0.1, -1e6, 1.0]), u, y, 0.004) == (None, math.inf)
+
+
+def _central_difference_jacobian(theta, u, y, ts, rel_step=1e-6):
+    """The fitter's former Jacobian, kept as the reference: central
+    differences of ``_cost`` at a relative step of 1e-6.
+
+    The step is floored at ``rel_step`` where the former code floored it at
+    ``rel_step * 1e-12``: at a1 = 0 a step of 1e-18 leaves the sampled model
+    unchanged in double precision, and the former a1 column read zero.
+    """
+    cols = []
+    for j in range(3):
+        h = rel_step * max(abs(theta[j]), 1.0)
+        tp = theta.copy()
+        tm = theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        rp, _ = sysid._cost(tp, u, y, ts)
+        rm, _ = sysid._cost(tm, u, y, ts)
+        if rp is None or rm is None:
+            return None
+        cols.append((rp - rm) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+@settings(deadline=None)
+@given(**_COST_CASES)
+def test_jacobian_matches_central_differences_of_cost(b0, a1, a0, ts, n, seed):
+    u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
+    y = np.zeros(n)
+    theta = np.array([b0, a1, a0])
+    y_hat, _ = sysid._cost(theta, u, y, ts)
+    J = sysid._jacobian(theta, u, y_hat, ts)
+    assert J.shape == (n, 3)
+    # No one step suits every model: at a0 ts^2 ~ 1e-6 rounding in exp(M)
+    # leaves the 1e-6 step 4e-5 off, while over hundreds of lightly damped
+    # cycles a 1e-3 step is off by its truncation. The best of a ladder of
+    # steps must agree.
+    errors = []
+    for rel_step in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+        ref = _central_difference_jacobian(theta, u, y, ts, rel_step)
+        scale = np.max(np.abs(ref), axis=0)
+        errors.append(np.max(np.abs(J - ref), axis=0) / scale)
+    assert np.all(np.min(errors, axis=0) <= 1e-6)
+
+
+def test_fit_discretizes_once_and_jacobian_never_evaluates_cost(monkeypatch):
+    # the clean log of the identify goldens (tests/data/identify.*)
+    plant = load_project().plants["ascension_velocity"]
+    n, ts = 400, 0.004
+    rng = np.random.default_rng(11)
+    u = 250_000.0 * rng.standard_normal(n)
+    y, _ = simulate(discretize_zoh(tf_to_ss(plant), ts), u)
+    y = y + 0.002 * (np.max(y) - np.min(y)) * rng.standard_normal(n)
+    ds = DataSet(np.arange(n) * ts, u, y)
+
+    calls = Counter()  # (name, called inside _jacobian) -> count
+    depth = [0]
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls[name, depth[0] > 0] += 1
+            depth[0] += name == "_jacobian"
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= name == "_jacobian"
+        return wrapper
+
+    for name in ("discretize_zoh", "_cost", "_jacobian"):
+        monkeypatch.setattr(sysid, name, spy(name, getattr(sysid, name)))
+    rep = fit_second_order(ds)
+    assert rep.converged
+    assert calls["_jacobian", False] > 0
+    assert calls["discretize_zoh", False] == 1  # the reported metrics
+    assert calls["discretize_zoh", True] == calls["_cost", True] == 0
 
 
 # ---------------------------------------------------------------------------
