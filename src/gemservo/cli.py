@@ -223,7 +223,10 @@ def cmd_simulate(args) -> int:
         scenario = replace(scenario, loop_delay=True)
     loaded = replace(loaded, scenario=scenario)
     band = args.band if args.band is not None else project.band_pct
-    trace, m, verdict, limits = _replay(loaded, band)
+    try:
+        trace, m, verdict, limits = _replay(loaded, band)
+    except ValueError as exc:
+        raise ValueError(f"{args.scenario}: {exc}") from None
 
     out = _out_dir(args)
     trace_path = out / f"{loaded.name}_trace.csv"

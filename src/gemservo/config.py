@@ -25,7 +25,8 @@ Geometry: ``{"l1": .., "l2": .., "alpha_deg": ..}``.
 Scenario files combine those: plant and requirement may be given inline or by
 bundled name; reference and disturbance are signal specs
 (``{"shape": "step"|"ramp", "amplitude"|"rate": .., "start": ..}``, the
-disturbance adds ``"inject": "input"|"output"``).
+disturbance adds ``"inject": "input"|"output"``); ``loop_delay`` is
+``true`` or ``false``.
 
 All loader errors name the offending file and JSON path.
 """
@@ -87,6 +88,16 @@ def _num(value, ctx: str) -> float:
     return v
 
 
+def _build(ctx: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, with a ValueError it raises re-raised as
+    a ConfigError under ``ctx``. The arguments are evaluated by the caller, so
+    a ConfigError they raise keeps its own, more precise path."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from None
+
+
 def _num_list(value, ctx: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{ctx}: expected a non-empty array")
@@ -96,10 +107,7 @@ def _num_list(value, ctx: str) -> list[float]:
 def tf_from_json(obj, ctx: str) -> TransferFunction:
     num = _num_list(_get(obj, "num", ctx), f"{ctx}.num")
     den = _num_list(_get(obj, "den", ctx), f"{ctx}.den")
-    try:
-        return TransferFunction(tuple(num), tuple(den))
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    return _build(ctx, TransferFunction, tuple(num), tuple(den))
 
 
 def tf_to_json(tf: TransferFunction) -> dict:
@@ -118,15 +126,14 @@ def controller_from_json(
                     "them under the scenario's 'limits' or the project's "
                     "'defaults.limits'"
                 )
-        try:
-            return PidGains(
-                kp=_num(_get(obj, "kp", ctx), f"{ctx}.kp"),
-                ki=_num(_get(obj, "ki", ctx), f"{ctx}.ki"),
-                kd=_num(obj.get("kd", 0.0), f"{ctx}.kd"),
-                deriv_filter_n=_num(obj.get("n", 100.0), f"{ctx}.n"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from None
+        return _build(
+            ctx,
+            PidGains,
+            kp=_num(_get(obj, "kp", ctx), f"{ctx}.kp"),
+            ki=_num(_get(obj, "ki", ctx), f"{ctx}.ki"),
+            kd=_num(obj.get("kd", 0.0), f"{ctx}.kd"),
+            deriv_filter_n=_num(obj.get("n", 100.0), f"{ctx}.n"),
+        )
     if kind == "sf":
         if "poles" in obj:
             if plant is None:
@@ -148,17 +155,13 @@ def controller_from_json(
                         _num(pair[1], f"{ctx}.poles[{i}][1]"),
                     )
                 )
-            try:
-                return place_poles(plant, want)
-            except ValueError as exc:
-                raise ConfigError(f"{ctx}: {exc}") from None
-        try:
-            return StateFeedbackGains(
-                k1=tuple(_num_list(_get(obj, "k1", ctx), f"{ctx}.k1")),
-                k2=_num(_get(obj, "k2", ctx), f"{ctx}.k2"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from None
+            return _build(ctx, place_poles, plant, want)
+        return _build(
+            ctx,
+            StateFeedbackGains,
+            k1=tuple(_num_list(_get(obj, "k1", ctx), f"{ctx}.k1")),
+            k2=_num(_get(obj, "k2", ctx), f"{ctx}.k2"),
+        )
     raise ConfigError(f"{ctx}.type: expected 'pid' or 'sf', got {kind!r}")
 
 
@@ -175,63 +178,57 @@ def controller_to_json(controller: PidGains | StateFeedbackGains) -> dict:
 
 
 def requirement_from_json(obj, ctx: str, label: str = "") -> Requirement:
-    try:
-        return Requirement(
-            amplitude=_num(_get(obj, "amplitude", ctx), f"{ctx}.amplitude"),
-            tss_max=_num(_get(obj, "tss_max", ctx), f"{ctx}.tss_max"),
-            os_max=_num(_get(obj, "os_max", ctx), f"{ctx}.os_max"),
-            ess_max=_num(obj.get("ess_max", 0.0), f"{ctx}.ess_max"),
-            units=str(obj.get("units", "")),
-            label=label,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    return _build(
+        ctx,
+        Requirement,
+        amplitude=_num(_get(obj, "amplitude", ctx), f"{ctx}.amplitude"),
+        tss_max=_num(_get(obj, "tss_max", ctx), f"{ctx}.tss_max"),
+        os_max=_num(_get(obj, "os_max", ctx), f"{ctx}.os_max"),
+        ess_max=_num(obj.get("ess_max", 0.0), f"{ctx}.ess_max"),
+        units=str(obj.get("units", "")),
+        label=label,
+    )
 
 
 def limits_from_json(obj, ctx: str) -> ActuatorLimits:
-    try:
-        return ActuatorLimits(
-            u_min=_num(_get(obj, "umin", ctx), f"{ctx}.umin"),
-            u_max=_num(_get(obj, "umax", ctx), f"{ctx}.umax"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    return _build(
+        ctx,
+        ActuatorLimits,
+        u_min=_num(_get(obj, "umin", ctx), f"{ctx}.umin"),
+        u_max=_num(_get(obj, "umax", ctx), f"{ctx}.umax"),
+    )
 
 
 def geometry_from_json(obj, ctx: str) -> MountGeometry:
-    try:
-        return MountGeometry(
-            l1=_num(_get(obj, "l1", ctx), f"{ctx}.l1"),
-            l2=_num(_get(obj, "l2", ctx), f"{ctx}.l2"),
-            alpha=math.radians(_num(_get(obj, "alpha_deg", ctx), f"{ctx}.alpha_deg")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    return _build(
+        ctx,
+        MountGeometry,
+        l1=_num(_get(obj, "l1", ctx), f"{ctx}.l1"),
+        l2=_num(_get(obj, "l2", ctx), f"{ctx}.l2"),
+        alpha=math.radians(_num(_get(obj, "alpha_deg", ctx), f"{ctx}.alpha_deg")),
+    )
+
+
+def _signal_fields(obj, ctx: str) -> dict:
+    return {
+        "shape": str(_get(obj, "shape", ctx)),
+        "amplitude": _num(obj.get("amplitude", 0.0), f"{ctx}.amplitude"),
+        "rate": _num(obj.get("rate", 0.0), f"{ctx}.rate"),
+        "start": _num(obj.get("start", 0.0), f"{ctx}.start"),
+    }
 
 
 def _signal_from_json(obj, ctx: str) -> SignalSpec:
-    try:
-        return SignalSpec(
-            shape=str(_get(obj, "shape", ctx)),
-            amplitude=_num(obj.get("amplitude", 0.0), f"{ctx}.amplitude"),
-            rate=_num(obj.get("rate", 0.0), f"{ctx}.rate"),
-            start=_num(obj.get("start", 0.0), f"{ctx}.start"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    return _build(ctx, SignalSpec, **_signal_fields(obj, ctx))
 
 
 def _disturbance_from_json(obj, ctx: str) -> DisturbanceSpec:
-    try:
-        return DisturbanceSpec(
-            shape=str(_get(obj, "shape", ctx)),
-            amplitude=_num(obj.get("amplitude", 0.0), f"{ctx}.amplitude"),
-            rate=_num(obj.get("rate", 0.0), f"{ctx}.rate"),
-            start=_num(obj.get("start", 0.0), f"{ctx}.start"),
-            inject=str(obj.get("inject", "input")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    return _build(
+        ctx,
+        DisturbanceSpec,
+        **_signal_fields(obj, ctx),
+        inject=str(obj.get("inject", "input")),
+    )
 
 
 @dataclass(frozen=True)
@@ -391,20 +388,22 @@ def load_scenario(
         ts = ts_override
     duration = _num(_get(raw, "duration", name), f"{name}.duration")
     label = str(raw.get("label", stem))
-    try:
-        scenario = Scenario(
-            plant=plant,
-            controller=controller,
-            reference=reference,
-            duration=duration,
-            ts=ts,
-            limits=limits,
-            disturbance=disturbance,
-            loop_delay=bool(raw.get("loop_delay", False)),
-            label=label,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    loop_delay = raw.get("loop_delay", False)
+    if not isinstance(loop_delay, bool):
+        raise ConfigError(f"{name}.loop_delay: expected true or false")
+    scenario = _build(
+        name,
+        Scenario,
+        plant=plant,
+        controller=controller,
+        reference=reference,
+        duration=duration,
+        ts=ts,
+        limits=limits,
+        disturbance=disturbance,
+        loop_delay=loop_delay,
+        label=label,
+    )
     return LoadedScenario(name=stem, scenario=scenario, requirement=requirement)
 
 

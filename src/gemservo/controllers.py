@@ -140,20 +140,34 @@ def pid_step(
         raise ValueError(f"error must be finite, got {error}")
     if not (math.isfinite(ts) and ts > 0.0):
         raise ValueError(f"ts must be positive, got {ts}")
+    u_cmd, u_sat, integral, deriv = _pid_law(
+        gains, state.integral, state.deriv, state.prev_error, error, ts
+    )
+    return u_cmd, u_sat, PidState(integral=integral, deriv=deriv, prev_error=error)
+
+
+def _pid_law(
+    gains: PidGains,
+    integral: float,
+    deriv: float,
+    prev_error: float,
+    error: float,
+    ts: float,
+) -> tuple[float, float, float, float]:
+    """:func:`pid_step` on plain floats, inputs unchecked. Returns (u_cmd,
+    u_sat, integral, deriv); the new previous error is ``error``."""
     if gains.kd == 0.0:
         deriv = 0.0  # filter bypassed; deriv_filter_n may be unset here
     else:
         tf = 1.0 / gains.deriv_filter_n
-        deriv = (tf * state.deriv + (error - state.prev_error)) / (tf + ts)
-    i_cand = state.integral + 0.5 * ts * (error + state.prev_error)
+        deriv = (tf * deriv + (error - prev_error)) / (tf + ts)
+    i_cand = integral + 0.5 * ts * (error + prev_error)
     u_cmd = gains.kp * error + gains.ki * i_cand + gains.kd * deriv
-    di = gains.ki * (i_cand - state.integral)
-    if (u_cmd > gains.u_max and di > 0.0) or (u_cmd < gains.u_min and di < 0.0):
-        integral = state.integral  # freeze: increment would deepen saturation
-    else:
-        integral = i_cand
-    u_sat = min(max(u_cmd, gains.u_min), gains.u_max)
-    return u_cmd, u_sat, PidState(integral=integral, deriv=deriv, prev_error=error)
+    di = gains.ki * (i_cand - integral)
+    u_min, u_max = gains.u_min, gains.u_max
+    if (u_cmd > u_max and di > 0.0) or (u_cmd < u_min and di < 0.0):
+        i_cand = integral  # freeze: the increment would deepen saturation
+    return u_cmd, min(max(u_cmd, u_min), u_max), i_cand, deriv
 
 
 def sf_step(
@@ -169,7 +183,7 @@ def sf_step(
 
     The integral state follows forward Euler, xi <- xi + ts (r - y), with the
     same conditional freeze as the PID when the command would saturate
-    further. Returns (u_cmd, u_sat, xi_new).
+    further. k1 . x is summed left to right. Returns (u_cmd, u_sat, xi_new).
     """
     for name, v in (("xi", xi), ("r", r), ("y", y)):
         if not math.isfinite(v):
@@ -183,16 +197,31 @@ def sf_step(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("state vector must be finite")
-    base = -float(np.dot(gains.k1, x))
+    return _sf_law(gains, x.tolist(), xi, r, y, ts, limits.u_min, limits.u_max)
+
+
+def _sf_law(
+    gains: StateFeedbackGains,
+    x,
+    xi: float,
+    r: float,
+    y: float,
+    ts: float,
+    u_min: float,
+    u_max: float,
+) -> tuple[float, float, float]:
+    """:func:`sf_step` on plain floats, with ``x`` a sequence of floats, inputs
+    unchecked."""
+    k1 = gains.k1
+    feedback = k1[0] * x[0]
+    for j in range(1, len(k1)):
+        feedback += k1[j] * x[j]
     xi_cand = xi + ts * (r - y)
-    u_cmd = gains.k2 * xi_cand + base
+    u_cmd = gains.k2 * xi_cand - feedback
     dxi = gains.k2 * (xi_cand - xi)
-    if (u_cmd > limits.u_max and dxi > 0.0) or (u_cmd < limits.u_min and dxi < 0.0):
-        xi_new = xi  # freeze: increment would deepen saturation
-    else:
-        xi_new = xi_cand
-    u_sat = limits.clamp(u_cmd)
-    return u_cmd, u_sat, xi_new
+    if (u_cmd > u_max and dxi > 0.0) or (u_cmd < u_min and dxi < 0.0):
+        xi_cand = xi  # freeze: the increment would deepen saturation
+    return u_cmd, min(max(u_cmd, u_min), u_max), xi_cand
 
 
 def _as_strictly_proper_ss(plant: StateSpace | TransferFunction) -> StateSpace:

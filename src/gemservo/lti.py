@@ -10,6 +10,7 @@ meaningful relative to this ordering.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ __all__ = [
     "SecondOrderCharacter",
     "tf_to_ss",
     "discretize_zoh",
+    "float_stepper",
     "simulate",
     "dc_gain",
     "poles",
@@ -241,6 +243,54 @@ def discretize_zoh(ss: StateSpace, ts: float) -> DiscreteStateSpace:
     return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], ss.C, ss.D, ts)
 
 
+@functools.cache
+def _stepper_factory(n: int):
+    """Compile, once per model order, a factory closing the plain-float update
+    and output of an n-state SISO model over its coefficients.
+
+    Each sum is spelled out term by term, ``a0_0 * x0 + a0_1 * x1 + b0 * u``,
+    which Python evaluates left to right; a generic loop would cost about four
+    times as much per sample.
+    """
+    xs = [f"x{j}" for j in range(n)]
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    c = [f"c{j}" for j in range(n)]
+
+    def total(coeffs: list[str], terms: list[str]) -> str:
+        return " + ".join(f"{p} * {q}" for p, q in zip(coeffs, terms)) or "0.0"
+
+    unpack = f"        {', '.join(xs)}, = x\n" if n else ""
+    rows = "".join(f"{total(a[i] + [b[i]], xs + ['u'])}, " for i in range(n))
+    params = ", ".join([name for row in a for name in row] + b + c)
+    source = (
+        f"def factory({params}):\n"
+        f"    def advance(x, u):\n{unpack}        return ({rows})\n"
+        f"    def output(x):\n{unpack}        return {total(c, xs)}\n"
+        "    return advance, output\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)  # the source holds only the identifiers built above
+    return namespace["factory"]
+
+
+def float_stepper(dss: DiscreteStateSpace):
+    """Plain-float ``(advance, output)`` pair of a SISO discrete model.
+
+    ``advance(x, u)`` returns the next state Ad x + Bd u and ``output(x)``
+    returns C x, both as Python floats with the state a tuple. Every row is
+    summed left to right, ``((a00 x0 + a01 x1) + b0 u)``, so the arithmetic is
+    fixed Python float arithmetic: it does not depend on the BLAS build, and
+    one sample costs no numpy call. The feedthrough D is left to the caller.
+    """
+    if dss.Bd.shape[1] != 1 or dss.C.shape[0] != 1:
+        raise ValueError("a single-input single-output model is required")
+    factory = _stepper_factory(dss.order)
+    return factory(
+        *dss.Ad.ravel().tolist(), *dss.Bd[:, 0].tolist(), *dss.C[0].tolist()
+    )
+
+
 def simulate(
     dss: DiscreteStateSpace,
     u: np.ndarray,
@@ -250,7 +300,7 @@ def simulate(
 
     Returns ``(y, x)`` where ``y[k]`` is the output at sample k and ``x[k]``
     the state at sample k (before the update). The state trajectory has one
-    row per input sample.
+    row per input sample. The model is stepped by :func:`float_stepper`.
     """
     if dss.Bd.shape[1] != 1 or dss.C.shape[0] != 1:
         raise ValueError("simulate expects a single-input single-output model")
@@ -263,22 +313,25 @@ def simulate(
         raise ValueError("u must contain only finite values")
     n = dss.order
     if x0 is None:
-        x = np.zeros(n)
+        x = (0.0,) * n
     else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
-        if x.shape != (n,):
-            raise ValueError(f"x0 must have length {n}, got {x.shape[0]}")
-    Ad = dss.Ad
-    bd = dss.Bd[:, 0]
-    c = dss.C[0, :]
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.shape != (n,):
+            raise ValueError(f"x0 must have length {n}, got {x0.shape[0]}")
+        x = tuple(x0.tolist())
+    advance, output = float_stepper(dss)
     d = float(dss.D[0, 0])
     N = u.size
     y = np.empty(N)
     xs = np.empty((N, n))
+    uv = memoryview(np.ascontiguousarray(u))
+    yv, xv = memoryview(y), memoryview(xs.reshape(-1))
     for k in range(N):
-        xs[k] = x
-        y[k] = c @ x + d * u[k]
-        x = Ad @ x + bd * u[k]
+        uk = uv[k]
+        for j, xj in enumerate(x, k * n):
+            xv[j] = xj
+        yv[k] = output(x) + d * uk
+        x = advance(x, uk)
     return y, xs
 
 

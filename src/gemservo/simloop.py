@@ -4,7 +4,10 @@ The plant runs on its exact zero-order-hold discretization; the controller
 executes once per sample on the sampled output (ideal sampling by default, an
 optional one-sample loop delay for sensitivity studies). Disturbances inject
 either at the plant input (load) or the plant output (measurement offset).
-Simulations are bit-deterministic: same scenario, same trace.
+Simulations are bit-deterministic: same scenario, same trace. The loop's
+arithmetic is fixed Python float arithmetic, every sum taken left to right
+(:func:`gemservo.lti.float_stepper` and the control laws), so the trace does
+not depend on the BLAS build numpy runs on either.
 """
 
 from __future__ import annotations
@@ -22,10 +25,18 @@ from .controllers import (
     PidGains,
     PidState,
     StateFeedbackGains,
+    _pid_law,
+    _sf_law,
     pid_step,
     sf_step,
 )
-from .lti import StateSpace, TransferFunction, discretize_zoh, tf_to_ss
+from .lti import (
+    StateSpace,
+    TransferFunction,
+    discretize_zoh,
+    float_stepper,
+    tf_to_ss,
+)
 from .metrics import (
     CONSTANTS,
     ESS_REL_TOL,
@@ -209,46 +220,50 @@ def run(scenario: Scenario) -> SimTrace:
     d_in = d is not None and dist.inject == "input"
     d_out = d is not None and dist.inject == "output"
 
-    Ad = dss.Ad
-    bd = dss.Bd[:, 0]
-    c = dss.C[0, :]
+    advance, output = float_stepper(dss)
     limits = scenario.effective_limits()
-    if is_pid and (gains.u_min != limits.u_min or gains.u_max != limits.u_max):
-        gains = replace(gains, u_min=limits.u_min, u_max=limits.u_max)
+    u_min, u_max = limits.u_min, limits.u_max
+    if is_pid and (gains.u_min != u_min or gains.u_max != u_max):
+        gains = replace(gains, u_min=u_min, u_max=u_max)
     ts = scenario.ts
+    loop_delay = scenario.loop_delay
 
-    x = np.zeros(n)
-    xi = 0.0
-    state = PidState()
+    x = (0.0,) * n
+    xi = integral = deriv = e_prev = 0.0
     u_arr = np.empty(N)
     us_arr = np.empty(N)
     y_arr = np.empty(N)
+    rv, uv, usv, yv = (memoryview(a) for a in (r, u_arr, us_arr, y_arr))
+    dv = memoryview(d) if d is not None else None
     u_prev = 0.0
     diverged = False
     end = N
     for k in range(N):
-        yk = float(c @ x)
+        yk = output(x)
         if d_out:
-            yk += d[k]
-        y_arr[k] = yk
-        rk = r[k]
-        ek = rk - yk
+            yk += dv[k]
+        yv[k] = yk
         if not math.isfinite(yk) or abs(yk) > DIVERGENCE_LIMIT:
-            u_arr[k] = u_prev
-            us_arr[k] = limits.clamp(u_prev)
+            uv[k] = u_prev
+            usv[k] = limits.clamp(u_prev)
             diverged = True
             end = k + 1
             break
+        rk = rv[k]
         if is_pid:
-            u_cmd, u_sat, state = pid_step(gains, state, ek, ts)
+            ek = rk - yk
+            u_cmd, u_sat, integral, deriv = _pid_law(
+                gains, integral, deriv, e_prev, ek, ts
+            )
+            e_prev = ek
         else:
-            u_cmd, u_sat, xi = sf_step(gains, x, xi, rk, yk, ts, limits)
-        u_arr[k] = u_cmd
-        us_arr[k] = u_sat
-        u_in = u_prev if scenario.loop_delay else u_sat
+            u_cmd, u_sat, xi = _sf_law(gains, x, xi, rk, yk, ts, u_min, u_max)
+        uv[k] = u_cmd
+        usv[k] = u_sat
+        u_in = u_prev if loop_delay else u_sat
         if d_in:
-            u_in = u_in + d[k]
-        x = Ad @ x + bd * u_in
+            u_in += dv[k]
+        x = advance(x, u_in)
         u_prev = u_sat
 
     t = t[:end]

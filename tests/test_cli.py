@@ -142,6 +142,33 @@ def test_simulate_pid_limits_in_controller_exit_two(tmp_path, capsys):
     assert "'limits'" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"controller": {"type": "sf", "k1": [1.0], "k2": 1.0}},
+         "k1 has 1 entries but the plant has 2 states"),
+        ({"plant": {"num": [1.0, 0.0], "den": [1.0, 2.0]}},
+         "plants with direct feedthrough (D != 0)"),
+        ({"loop_delay": "false"}, None),
+    ],
+)
+def test_simulate_scenario_errors_name_the_file(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "plant": "ascension_velocity",
+        "controller": {"type": "pid", "kp": 2000, "ki": 5000},
+        "reference": {"shape": "step", "amplitude": 10.0},
+        "duration": 2.0,
+        **change,
+    }))
+    code, out, err = run_cli(["simulate", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    if message is None:
+        assert err == f"error: {path}.loop_delay: expected true or false\n"
+    else:
+        assert err.startswith(f"error: {path}: {message}")
+
+
 def test_simulate_json_mode_matches_metrics_file(tmp_path, capsys):
     code, out, err = run_cli(
         ["simulate", "ascension_velocity_sf", "--json", "--out", str(tmp_path)],

@@ -284,6 +284,58 @@ def test_load_scenario_error_paths(tmp_path):
         load_scenario(p)
 
 
+_SCENARIO = {
+    "plant": "ascension_velocity",
+    "controller": {"type": "pid", "kp": 1.0, "ki": 0.0},
+    "reference": {"shape": "step", "amplitude": 1.0},
+    "duration": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("plant", {"num": [1.0], "den": [1.0, "x"]},
+         "plant.den[1]: expected a number, got 'x'"),
+        ("controller", {"type": "pid", "kp": True, "ki": 0.0},
+         "controller.kp: expected a number, got True"),
+        ("controller", {"type": "sf", "k1": [1.0, None], "k2": 1.0},
+         "controller.k1[1]: expected a number, got None"),
+        ("reference", [], "reference: expected an object, got list"),
+        ("disturbance", {"shape": "step", "start": "soon"},
+         "disturbance.start: expected a number, got 'soon'"),
+        ("requirement", {"tss_max": 1.0, "os_max": 5.0},
+         "requirement: missing key 'amplitude'"),
+        ("limits", {"umin": 0.0, "umax": False},
+         "limits.umax: expected a number, got False"),
+    ],
+)
+def test_scenario_loader_errors_name_the_path_once(tmp_path, key, value, message):
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps({**_SCENARIO, key: value}))
+    with pytest.raises(ConfigError) as info:
+        load_scenario(p)
+    assert str(info.value) == f"{p}.{message}"
+
+
+def test_geometry_errors_name_the_path_once():
+    with pytest.raises(ConfigError) as info:
+        geometry_from_json({"l1": 1.0, "l2": True, "alpha_deg": 0.0}, "g")
+    assert str(info.value) == "g.l2: expected a number, got True"
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None, "true"])
+def test_loop_delay_must_be_a_json_boolean(tmp_path, value):
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps({**_SCENARIO, "loop_delay": value}))
+    with pytest.raises(ConfigError) as info:
+        load_scenario(p)
+    assert str(info.value) == f"{p}.loop_delay: expected true or false"
+    for flag in (True, False):
+        p.write_text(json.dumps({**_SCENARIO, "loop_delay": flag}))
+        assert load_scenario(p).scenario.loop_delay is flag
+
+
 # ---------------------------------------------------------------------------
 # model reports
 

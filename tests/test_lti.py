@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemservo.config import load_project
 from gemservo.lti import (
@@ -275,6 +276,43 @@ def test_simulate_honours_initial_state():
     np.testing.assert_allclose(x[0], [1.0, -2.0])
     assert y[0] == pytest.approx(0.09809 * 1.0)
     assert abs(y[-1]) < abs(y[0])  # stable decay
+
+
+_SIM_PLANTS = [
+    ASC_VEL,
+    ASC_POS,
+    TransferFunction([2.0, 1.0, 3.0], [1.0, 2.0, 5.0]),  # biproper: D = 2
+    TransferFunction([1.0], [1.0, 4.0]),
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    plant=st.sampled_from(_SIM_PLANTS),
+    ts=st.floats(1e-3, 1e-2),
+    u=st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=200),
+    x0_scale=st.floats(-10.0, 10.0),
+)
+def test_simulate_sums_left_to_right_bit_for_bit(plant, ts, u, x0_scale):
+    dss = discretize_zoh(tf_to_ss(plant), ts)
+    a, b, c = dss.Ad.tolist(), dss.Bd[:, 0].tolist(), dss.C[0].tolist()
+    d = float(dss.D[0, 0])
+    x0 = [x0_scale * (j + 1) for j in range(dss.order)]
+
+    def left_to_right(coeffs, values):
+        acc = coeffs[0] * values[0]
+        for cj, vj in zip(coeffs[1:], values[1:]):
+            acc += cj * vj
+        return acc
+
+    x, ys, xs = x0, [], []
+    for uk in u:
+        xs.append(x)
+        ys.append(left_to_right(c, x) + d * uk)
+        x = [left_to_right(row + [bi], x + [uk]) for row, bi in zip(a, b)]
+    y, states = simulate(dss, np.array(u), x0=x0)
+    assert y.tobytes() == np.array(ys).tobytes()
+    assert states.tobytes() == np.array(xs).tobytes()
 
 
 def test_simulate_input_validation():

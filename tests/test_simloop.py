@@ -2,6 +2,7 @@
 saturation accounting, divergence handling and the study suites."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,16 @@ from gemservo.controllers import (
     DEFAULT_LIMITS,
     ActuatorLimits,
     PidGains,
+    PidState,
     StateFeedbackGains,
+    pid_step,
     place_poles,
+    sf_step,
 )
 from gemservo.lti import TransferFunction, dc_gain, discretize_zoh, tf_to_ss
 from gemservo.metrics import Requirement, analyze_step
 from gemservo.simloop import (
+    DIVERGENCE_LIMIT,
     DisturbanceSpec,
     Scenario,
     SignalSpec,
@@ -542,3 +547,132 @@ def test_loop_matrix_matches_hand_linearization(loop, ts):
     ref = _hand_loop_matrix(plant, controller, ts)
     assert phi.shape == ref.shape
     assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# The sampled loop, bit for bit against a reference written from the laws
+
+
+def _left_to_right(coeffs, values):
+    """sum(c * v), added strictly left to right."""
+    acc = coeffs[0] * values[0]
+    for c, v in zip(coeffs[1:], values[1:]):
+        acc += c * v
+    return acc
+
+
+def _reference_trace(scen):
+    """The loop of :func:`run` spelled out with ``pid_step``/``sf_step`` and a
+    plant stepped as left-to-right sums over Ad, Bd and C."""
+    dss = discretize_zoh(tf_to_ss(scen.plant), scen.ts)
+    a, b, c = dss.Ad.tolist(), dss.Bd[:, 0].tolist(), dss.C[0].tolist()
+    limits = scen.effective_limits()
+    gains = scen.controller
+    is_pid = isinstance(gains, PidGains)
+    if is_pid:
+        gains = replace(gains, u_min=limits.u_min, u_max=limits.u_max)
+    N = int(round(scen.duration / scen.ts)) + 1
+    t = np.arange(N) * scen.ts
+    r = scen.reference.values(t).tolist()
+    dist = scen.disturbance
+    d = dist.values(t).tolist() if dist is not None else [0.0] * N
+    inject = dist.inject if dist is not None else None
+    x = [0.0] * len(a)
+    state, xi, u_prev = PidState(), 0.0, 0.0
+    ys, us, usats = [], [], []
+    diverged = False
+    for k in range(N):
+        y = _left_to_right(c, x)
+        if inject == "output":
+            y += d[k]
+        ys.append(y)
+        if not math.isfinite(y) or abs(y) > DIVERGENCE_LIMIT:
+            us.append(u_prev)
+            usats.append(limits.clamp(u_prev))
+            diverged = True
+            break
+        if is_pid:
+            u, u_sat, state = pid_step(gains, state, r[k] - y, scen.ts)
+        else:
+            u, u_sat, xi = sf_step(gains, np.array(x), xi, r[k], y, scen.ts, limits)
+        us.append(u)
+        usats.append(u_sat)
+        u_in = u_prev if scen.loop_delay else u_sat
+        if inject == "input":
+            u_in += d[k]
+        x = [_left_to_right(row + [bi], x + [u_in]) for row, bi in zip(a, b)]
+        u_prev = u_sat
+    end = len(ys)
+    return {
+        "t": t[:end], "r": np.array(r[:end]), "e": np.array(r[:end]) - ys,
+        "u": np.array(us), "u_sat": np.array(usats), "y": np.array(ys),
+        "diverged": diverged,
+    }
+
+
+def _assert_trace_is_reference(scen):
+    trace = run(scen)
+    ref = _reference_trace(scen)
+    for name in ("t", "r", "e", "u", "u_sat", "y"):
+        got = getattr(trace, name)
+        assert got.dtype == np.float64 and got.shape == ref[name].shape, name
+        assert got.tobytes() == ref[name].tobytes(), name
+    assert trace.diverged == ref["diverged"]
+    assert trace.saturation_fraction == float(np.mean(ref["u"] != ref["u_sat"]))
+    return trace
+
+
+_OPEN = ActuatorLimits(-math.inf, math.inf)
+
+
+@st.composite
+def _loop_scenarios(draw):
+    name = draw(st.sampled_from(sorted(PROJECT.plants)))
+    plant = PROJECT.plants[name]
+    kind = draw(st.sampled_from(["pid", "sf"]))
+    base = PROJECT.controllers[f"{name}_{kind}"]
+    scale = draw(st.sampled_from([1.0, 0.3, 3.0, 30.0, -1.0]))
+    if kind == "pid":
+        controller = PidGains(base.kp * scale, base.ki * scale, base.kd * scale)
+    else:
+        controller = StateFeedbackGains(
+            tuple(k * scale for k in base.k1), base.k2 * scale
+        )
+    ts = draw(_TS)
+    duration = draw(st.floats(0.05, 1.5))
+    reference = draw(st.one_of(
+        st.builds(SignalSpec, shape=st.just("step"),
+                  amplitude=st.floats(-20.0, 20.0),
+                  start=st.floats(0.0, 0.04)),
+        st.builds(SignalSpec, shape=st.just("ramp"), rate=st.floats(-5.0, 5.0)),
+    ))
+    disturbance = draw(st.one_of(
+        st.none(),
+        st.builds(DisturbanceSpec, shape=st.just("step"),
+                  amplitude=st.floats(-1e5, 1e5), start=st.floats(0.0, 0.05),
+                  inject=st.sampled_from(["input", "output"])),
+    ))
+    return Scenario(
+        plant=plant, controller=controller, reference=reference,
+        duration=duration, ts=ts,
+        limits=draw(st.sampled_from([None, DEFAULT_LIMITS, WIDE, _OPEN])),
+        disturbance=disturbance, loop_delay=draw(st.booleans()),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(scen=_loop_scenarios())
+def test_run_matches_reference_loop_bit_for_bit(scen):
+    _assert_trace_is_reference(scen)
+
+
+def test_run_matches_reference_loop_on_diverging_and_saturated_runs():
+    fast = PidGains(-30_000.0, 0.0, 0.0)
+    diverging = _step_scenario(ASC_VEL, fast, 10.0, 60.0, limits=_OPEN)
+    trace = _assert_trace_is_reference(diverging)
+    assert trace.diverged and len(trace) < 6001
+    sf = PROJECT.controllers["ascension_position_sf"]
+    held = _step_scenario(ASC_POS, sf, 90.0, 5.0, loop_delay=True,
+                          disturbance=DisturbanceSpec(amplitude=-5e4, start=1.0))
+    trace = _assert_trace_is_reference(held)
+    assert 0.0 < trace.saturation_fraction < 1.0
