@@ -3,9 +3,10 @@
 Fits b0 / (s^2 + a1 s + a0) to sampled input/output records by minimizing the
 simulation error (the fitted model is driven open-loop by the recorded input;
 no measured outputs are fed back into the predictor). Each candidate is
-discretized with a zero-order hold and its 2-state model is run over the
-input as one linear filter: the exact z-domain transfer function of
-(Ad, Bd, C), evaluated by ``scipy.signal.lfilter``. The optimizer is a damped
+discretized with a zero-order hold and its 2-state model (Ad, Bd, C) is run
+over the input as one banded triangular solve: the recursion
+x_{k+1} = Ad x_k + Bd u_k, written for all samples at once, solved by
+forward substitution in LAPACK ``dtbtrs``. The optimizer is a damped
 Gauss-Newton (Levenberg-Marquardt) iteration over (b0, a1, a0) with exact
 Jacobians (the output sensitivities, filtered from the same model) and a
 deterministic multistart.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dtbtrs
 
 from .lti import (
     TransferFunction,
@@ -111,43 +113,52 @@ def load_dataset(path: str | Path, label: str | None = None) -> DataSet:
     """Read a `t,u,y` CSV file. Errors name the file and the line."""
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: file is empty")
+        header = next(csv.reader([line]))
         cols = [c.strip().lower() for c in header]
         if cols != ["t", "u", "y"]:
             raise ValueError(
                 f"{path}:1: expected header 't,u,y', got {','.join(header)!r}"
             )
-        t, u, y = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 columns, got {len(row)}"
-                )
-            vals = []
-            for col, cell in zip("tuy", row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: column {col}: could not parse "
-                        f"{cell.strip()!r} as a number"
-                    ) from None
-            t.append(vals[0])
-            u.append(vals[1])
-            y.append(vals[2])
+        start = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # no rows: DataSet reports the sample count
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != 3:
+            fh.seek(start)
+            data = _scan_rows(path, csv.reader(fh))
+    t, u, y = np.ascontiguousarray(data.T)
     try:
-        return DataSet(
-            np.array(t), np.array(u), np.array(y),
-            label=label if label is not None else path.stem,
-        )
+        return DataSet(t, u, y, label=label if label is not None else path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _scan_rows(path: Path, rows) -> np.ndarray:
+    """Parse CSV data rows one at a time, for a file that ``np.loadtxt``
+    rejects: skip rows of blank cells, and name the first row that is not
+    three numbers by its line."""
+    values = []
+    for lineno, row in enumerate(rows, start=2):
+        if all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        for col, cell in zip("tuy", row):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: column {col}: could not parse "
+                    f"{cell.strip()!r} as a number"
+                ) from None
+    return np.array(values).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -216,9 +227,6 @@ def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
 
     Returns (None, inf) when the model cannot be evaluated or diverges.
     """
-    # deferred: importing scipy.signal costs ~0.9 s and ~45 MB at CLI start
-    from scipy.signal import lfilter
-
     b0, a1, a0 = (float(v) for v in theta)
     if not (math.isfinite(b0) and math.isfinite(a1) and math.isfinite(a0)):
         return None, math.inf
@@ -227,20 +235,30 @@ def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
         phi = expm(_zoh_block(a1, a0, ts))
         if not np.all(np.isfinite(phi)):
             return None, math.inf
-        # Exact transfer function of the sampled model from u to b0 * x1,
-        # formed and run in extended precision: with both poles near z = 1,
-        # rounding its coefficients to double moves the response by up to
-        # ~1e-9 relative (a1 = -5, a0 = 1, ts = 8.8 ms, 263 samples).
-        (a00, a01, bd0), (a10, a11, bd1) = phi[:2].astype(np.longdouble)
-        y_hat = lfilter(
-            (0.0, b0 * bd0, b0 * (a01 * bd1 - a11 * bd0)),
-            (1.0, -(a00 + a11), a00 * a11 - a01 * a10),
-            u,
-        ).astype(float)
-        r = y_hat - y
-        c = float(r @ r)
+        (a00, a01, bd0), (a10, a11, bd1) = phi[:2].tolist()
+        # The states x_1 .. x_{n-1} (x_0 = 0), interleaved, solve
+        # x_{k+1} - Ad x_k = Bd u_k for all k at once: a unit lower-triangular
+        # system of bandwidth 3, which forward substitution solves in place.
+        # In LAPACK's lower band storage column j holds A[j:j + 4, j]; each
+        # row of `band` is the two columns of one sample, so the band is
+        # Fortran-ordered and f2py passes it without a copy.
+        n = u.size
+        band = np.empty((n - 1, 8))
+        band[:] = (1.0, 0.0, -a00, -a10, 1.0, -a01, -a11, 0.0)
+        rhs = np.empty((n - 1, 2))
+        np.multiply(u[:-1], bd0, out=rhs[:, 0])
+        np.multiply(u[:-1], bd1, out=rhs[:, 1])
+        x, _ = dtbtrs(band.reshape(-1, 4).T, rhs.reshape(-1, 1), uplo="L",
+                      diag="U", overwrite_b=1)
+        r = np.empty(n)
+        r[0] = 0.0
+        np.multiply(x[::2, 0], b0, out=r[1:])  # y_hat = b0 x1
         # reject diverging outputs well before their squares overflow
-        if not (math.isfinite(c) and np.max(np.abs(y_hat)) < 1e120):
+        if not -1e120 < r.min() <= r.max() < 1e120:
+            return None, math.inf
+        r -= y
+        c = float(r @ r)
+        if not math.isfinite(c):
             return None, math.inf
     return r, c
 
@@ -254,8 +272,6 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
     (dN u - dD y_hat) / D: lag taps applied to u/D and y_hat/D. Returns None
     when a column is not finite.
     """
-    from scipy.signal import lfilter
-
     b0, a1, a0 = (float(v) for v in theta)
     m = _zoh_block(a1, a0, ts)
     big = np.zeros((9, 9))
@@ -267,7 +283,6 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
         # exp(M), then its a1 and a0 derivatives: (a00, a01, bd0, a10, a11, bd1)
         blocks = [top[0][k:k + 3] + top[1][k:k + 3] for k in (0, 3, 6)]
         a00, a01, bd0, a10, a11, bd1 = blocks[0]
-        den = (1.0, -(a00 + a11), a00 * a11 - a01 * a10)
         # per column, the lag-1 and lag-2 taps on u/D, then on y_hat/D
         taps = [(bd0, a01 * bd1 - a11 * bd0, 0.0, 0.0)]
         for da00, da01, dbd0, da10, da11, dbd1 in blocks[1:]:
@@ -277,12 +292,17 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
                 da00 + da11,
                 a01 * da10 + da01 * a10 - a00 * da11 - da00 * a11,
             ))
-        w = lfilter((1.0,), den, np.stack((u, y_hat)))
+        # u/D and y_hat/D: D(z) = 1 - (a00 + a11) z^-1 + det(Ad) z^-2 as a
+        # unit lower-triangular band of bandwidth 2, two right-hand sides
+        band = np.empty((u.size, 3))
+        band[:] = (1.0, -(a00 + a11), a00 * a11 - a01 * a10)
+        w, _ = dtbtrs(band.T, np.array((u, y_hat)).T, uplo="L", diag="U",
+                      overwrite_b=1)
         lagged = np.zeros((4, u.size))
-        lagged[0, 1:] = w[0, :-1]
-        lagged[1, 2:] = w[0, :-2]
-        lagged[2, 1:] = w[1, :-1]
-        lagged[3, 2:] = w[1, :-2]
+        lagged[0, 1:] = w[:-1, 0]
+        lagged[1, 2:] = w[:-2, 0]
+        lagged[2, 1:] = w[:-1, 1]
+        lagged[3, 2:] = w[:-2, 1]
         J = (np.array(taps) @ lagged).T
     if not np.all(np.isfinite(J)):
         return None

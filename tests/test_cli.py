@@ -523,18 +523,27 @@ def test_options_are_accepted_only_where_read(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    log = tmp_path / "log.csv"
+    _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
+                   noise_frac=0.01)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    code = "import sys, gemservo.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+    code = (
+        "import sys, gemservo.cli as cli\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "code = cli.main(['identify', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'scipy.signal' in sys.modules)\n"
     )
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(log), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False")
 
 
 def test_version_and_usage_errors(capsys):

@@ -1,13 +1,15 @@
 """Tests for black-box second-order identification: goodness-of-fit metrics,
 the simulation-error fit, dataset loading and model selection."""
 
+import csv
 import math
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from gemservo import sysid
@@ -206,6 +208,148 @@ def test_load_dataset_empty_and_short(tmp_path):
         load_dataset(p)
 
 
+def _reference_load_dataset(path, label=None):
+    """The former ``load_dataset``, kept as the reference: every cell of the
+    file parsed by ``float`` in a Python loop."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty") from None
+        cols = [c.strip().lower() for c in header]
+        if cols != ["t", "u", "y"]:
+            raise ValueError(
+                f"{path}:1: expected header 't,u,y', got {','.join(header)!r}"
+            )
+        t, u, y = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 3 columns, got {len(row)}"
+                )
+            vals = []
+            for col, cell in zip("tuy", row):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: column {col}: could not parse "
+                        f"{cell.strip()!r} as a number"
+                    ) from None
+            t.append(vals[0])
+            u.append(vals[1])
+            y.append(vals[2])
+    try:
+        return DataSet(
+            np.array(t), np.array(u), np.array(y),
+            label=label if label is not None else path.stem,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_outcome(loader, path):
+    """The arrays and label a loader returns, byte for byte, or its message."""
+    try:
+        ds = loader(path)
+    except ValueError as exc:
+        return str(exc)
+    return ds.t.tobytes(), ds.u.tobytes(), ds.y.tobytes(), ds.label
+
+
+def _log_rows(n=12):
+    return [f"{k * 0.01!r},{250000.0 + k},{1.5 * k!r}" for k in range(n)]
+
+
+# files np.loadtxt parses on its own, then files left to the row scan
+_FAST_LOGS = {
+    "blank_lines": "t,u,y\n\n" + "\n\n".join(_log_rows()) + "\n\n",
+    "padded_cells": "t , u,y\n" + "\n".join(
+        " " + r.replace(",", " ,\t") + " " for r in _log_rows()) + "\n",
+    "crlf": "t,u,y\r\n" + "\r\n".join(_log_rows()) + "\r\n",
+    "no_final_newline": "t,u,y\n" + "\n".join(_log_rows()),
+    "crlf_no_final_newline": "t,u,y\r\n" + "\r\n".join(_log_rows()),
+    "too_few_rows": "t,u,y\n" + "\n".join(_log_rows(4)) + "\n",
+}
+_SCANNED_LOGS = {
+    "header_only": "t,u,y\n",
+    "whitespace_row": "t,u,y\n" + "\n  \t\n".join(_log_rows()) + "\n",
+    "comma_row": "t,u,y\n" + "\n , ,\n".join(_log_rows()) + "\n",
+    "quoted_cells": "t,u,y\n" + "\n".join(
+        ",".join(f'"{c}"' for c in r.split(",")) for r in _log_rows()) + "\n",
+    "bad_cell": "t,u,y\n" + "\n".join(_log_rows()).replace(",250003.0,", ",oops,"),
+    "empty_cell": "t,u,y\n" + "\n".join(_log_rows()).replace(",250003.0,", ",,"),
+    "one_column": "t,u,y\n" + "\n".join(r.split(",")[0] for r in _log_rows()),
+    "four_columns": "t,u,y\n" + "\n".join(r + ",1" for r in _log_rows()),
+    "short_row": "t,u,y\n" + "\n".join(_log_rows() + ["0.2,1"]),
+    "old_mac_line_ends": "t,u,y\r" + "\r".join(_log_rows()) + "\r",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAST_LOGS) + sorted(_SCANNED_LOGS))
+def test_load_dataset_matches_the_cell_by_cell_reference(name, tmp_path, monkeypatch):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes({**_FAST_LOGS, **_SCANNED_LOGS}[name].encode())
+    want = _load_outcome(_reference_load_dataset, path)
+    if name in _FAST_LOGS:
+        def no_scan(*args):
+            raise AssertionError("np.loadtxt should have parsed this file")
+        monkeypatch.setattr(sysid, "_scan_rows", no_scan)
+    assert _load_outcome(load_dataset, path) == want
+
+
+_CELL_FORMATS = ("{!r}", "{:.6g}", "{:.4f}", "{:e}")
+_PADS = ("", " ", "  ", "\t")
+_BLANK_ROWS = ("", "   ", ",,", " ,\t, ")
+
+
+@st.composite
+def _csv_logs(draw):
+    """`t,u,y` text: padded cells in mixed formats, blank rows, CRLF or LF
+    line ends, with or without a final newline, and at most one bad row."""
+    ts = draw(st.sampled_from((0.001, 0.004, 0.01)))
+    values = st.floats(1e5, 3.5e5), st.floats(-1e3, 1e3)
+    blank = draw(st.sampled_from(_BLANK_ROWS))
+    rows = []
+    for k in range(draw(st.integers(8, 30))):
+        cells = []
+        for v in (k * ts, draw(values[0]), draw(values[1])):
+            fmt = draw(st.sampled_from(_CELL_FORMATS))
+            cells.append(
+                draw(st.sampled_from(_PADS)) + fmt.format(v)
+                + draw(st.sampled_from(_PADS))
+            )
+        rows.append(cells)
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([blank])
+    fault = draw(st.sampled_from((None,) * 4 + ("oops", "", "narrow", "wide")))
+    if fault is not None:
+        cells = draw(st.sampled_from([r for r in rows if len(r) == 3]))
+        if fault == "narrow":
+            cells.pop()
+        elif fault == "wide":
+            cells.append("1")
+        else:
+            cells[draw(st.integers(0, 2))] = fault
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    text = eol.join(["t,u,y"] + [",".join(r) for r in rows])
+    return text + eol if draw(st.booleans()) else text
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_logs())
+def test_load_dataset_matches_the_reference_on_generated_logs(text, tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode())
+    assert _load_outcome(load_dataset, path) == _load_outcome(
+        _reference_load_dataset, path
+    )
+
+
 # ---------------------------------------------------------------------------
 # fit_second_order
 
@@ -333,7 +477,8 @@ _COST_CASES = dict(
 
 @settings(deadline=None)
 @given(**_COST_CASES)
-# both poles near z = 1: double-precision filter coefficients missed by 1.04e-9
+# both poles near z = 1, where the transfer-function coefficients of the
+# sampled model lose the poles' precision; the state recursion does not
 @example(b0=1.0, a1=-5.0, a0=1.0, ts=0.008821800229229307, n=263, seed=295)
 def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
@@ -341,7 +486,7 @@ def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     ref, _ = simulate(discretize_zoh(tf_to_ss(model), ts), u)
     r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
     assert r is not None
-    assert float(np.max(np.abs(r - ref))) <= 1e-9 * float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(r - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
 
 
 @settings(deadline=None)
