@@ -26,7 +26,8 @@ Scenario files combine those: plant and requirement may be given inline or by
 bundled name; reference and disturbance are signal specs
 (``{"shape": "step"|"ramp", "amplitude"|"rate": .., "start": ..}``, the
 disturbance adds ``"inject": "input"|"output"``); ``loop_delay`` is
-``true`` or ``false``.
+``true`` or ``false``, and the optional ``label`` a string (the file's stem
+by default).
 
 All loader errors name the offending file and JSON path.
 """
@@ -387,7 +388,9 @@ def load_scenario(
     if ts_override is not None:
         ts = ts_override
     duration = _num(_get(raw, "duration", name), f"{name}.duration")
-    label = str(raw.get("label", stem))
+    label = raw.get("label", stem)
+    if not isinstance(label, str):
+        raise ConfigError(f"{name}.label: expected a string")
     loop_delay = raw.get("loop_delay", False)
     if not isinstance(loop_delay, bool):
         raise ConfigError(f"{name}.loop_delay: expected true or false")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "TransferFunction",
@@ -221,6 +220,23 @@ def tf_to_ss(tf: TransferFunction) -> StateSpace:
     return StateSpace(A, B, C, [[d]])
 
 
+@functools.cache
+def _scipy_linalg():
+    """``(expm, dtbtrs)`` from ``scipy.linalg``, imported on the first call.
+
+    Importing ``scipy.linalg`` takes about a third of a second, longer than a
+    warm ``reproduce``; commands that never discretize or fit (``workspace``,
+    ``metrics``, config errors) should not pay for it. ``discretize_zoh`` and
+    the fitter's model evaluations take both routines from here, so there is
+    one exponential and one band solver, and a call after the first costs a
+    cache lookup, not an import statement.
+    """
+    from scipy.linalg import expm
+    from scipy.linalg.lapack import dtbtrs
+
+    return expm, dtbtrs
+
+
 def discretize_zoh(ss: StateSpace, ts: float) -> DiscreteStateSpace:
     """Zero-order-hold discretization via one exponential of the augmented block.
 
@@ -239,6 +255,7 @@ def discretize_zoh(ss: StateSpace, ts: float) -> DiscreteStateSpace:
             [np.zeros((m, n)), np.zeros((m, m))],
         ]
     )
+    expm, _ = _scipy_linalg()
     phi = expm(block * ts)
     return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], ss.C, ss.D, ts)
 

@@ -13,6 +13,7 @@ not depend on the BLAS build numpy runs on either.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,6 +32,7 @@ from .controllers import (
     sf_step,
 )
 from .lti import (
+    DiscreteStateSpace,
     StateSpace,
     TransferFunction,
     discretize_zoh,
@@ -192,18 +194,30 @@ class SimTrace:
         return self.t.size
 
 
+@functools.lru_cache(maxsize=64)
+def _sampled_plant(plant: TransferFunction, ts: float) -> DiscreteStateSpace:
+    """The zero-order-hold model of ``plant`` at ``ts``, built once per pair.
+
+    A tuner screens and simulates dozens of gain sets on one (plant, ts);
+    the model is frozen, with read-only arrays, so every caller can share it.
+    """
+    return discretize_zoh(tf_to_ss(plant), ts)
+
+
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the scenario and return the full trace."""
     plant = scenario.plant
-    ss = tf_to_ss(plant) if isinstance(plant, TransferFunction) else plant
-    if not ss.is_siso:
+    if isinstance(plant, TransferFunction):
+        dss = _sampled_plant(plant, scenario.ts)
+    else:
+        dss = discretize_zoh(plant, scenario.ts)
+    if dss.Bd.shape[1] != 1 or dss.C.shape[0] != 1:
         raise ValueError("closed-loop simulation needs a SISO plant")
-    if np.any(ss.D != 0.0):
+    if np.any(dss.D != 0.0):
         raise ValueError(
             "plants with direct feedthrough (D != 0) would close an algebraic "
             "loop and are not supported"
         )
-    dss = discretize_zoh(ss, scenario.ts)
     n = dss.order
     gains = scenario.controller
     is_pid = isinstance(gains, PidGains)
@@ -306,7 +320,8 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
-    """Read a trace CSV produced by :func:`write_trace_csv`."""
+    """Read a trace CSV produced by :func:`write_trace_csv`. Errors name the
+    file and the line; a cell that is not a finite number is refused."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -328,14 +343,20 @@ def read_trace_csv(path: str | Path) -> SimTrace:
                 raise ValueError(
                     f"{path}:{lineno}: expected 6 columns, got {len(row)}"
                 )
-            for i, cell in enumerate(row):
+            for col, name, cell in zip(cols, expected, row):
                 try:
-                    cols[i].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: could not parse {cell.strip()!r} "
                         "as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{lineno}: column {name}: {cell.strip()!r} is "
+                        "not a finite number"
+                    )
+                col.append(value)
     if len(cols[0]) < 2:
         raise ValueError(f"{path}: trace needs at least 2 samples")
     t, r, e, u, us, y = (np.array(col) for col in cols)
@@ -412,11 +433,10 @@ def discrete_loop_matrix(
     pole helpers cannot, since aggressive gains that look fine in continuous
     time can destabilize the 10 ms loop.
     """
-    ss = tf_to_ss(plant)
-    dss = discretize_zoh(ss, ts)
-    n = ss.order
+    dss = _sampled_plant(plant, ts)
+    n = dss.order
     bd = dss.Bd[:, 0]
-    c = ss.C[0, :]
+    c = dss.C[0, :]
     is_pid = isinstance(controller, PidGains)
     if is_pid:
         gains = replace(controller, u_min=-math.inf, u_max=math.inf)

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dtbtrs
 
 from .lti import (
     TransferFunction,
+    _scipy_linalg,
     discretize_zoh,
     is_bibo_stable,
     simulate,
@@ -230,6 +229,7 @@ def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
     b0, a1, a0 = (float(v) for v in theta)
     if not (math.isfinite(b0) and math.isfinite(a1) and math.isfinite(a0)):
         return None, math.inf
+    expm, dtbtrs = _scipy_linalg()
     # wildly unstable candidates overflow; the nonfinite result is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         phi = expm(_zoh_block(a1, a0, ts))
@@ -273,6 +273,7 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
     when a column is not finite.
     """
     b0, a1, a0 = (float(v) for v in theta)
+    expm, dtbtrs = _scipy_linalg()
     m = _zoh_block(a1, a0, ts)
     big = np.zeros((9, 9))
     for k in range(0, 9, 3):

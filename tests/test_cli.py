@@ -440,6 +440,36 @@ def test_metrics_missing_trace_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "row, column, cell",
+    [
+        (0, "t", "nan"),  # read ts = nan, which passed the spacing check
+        (0, "y", "nan"),  # turned the overshoot into 0 %
+        (3, "r", "-inf"),
+        (3, "e", "nan"),
+        (2, "u", "inf"),  # printed "max control: inf Hz"
+        (2, "u_sat", "inf"),
+    ],
+)
+def test_metrics_refuses_a_trace_with_a_non_finite_cell(tmp_path, capsys, row,
+                                                        column, cell):
+    names = ["t", "r", "e", "u", "u_sat", "y"]
+    lines = ["t,r,e,u,u_sat,y"]
+    for k in range(6):
+        cells = [f"{0.01 * k:g}", "1", "0.5", "1000", "1000", "0.5"]
+        if k == row:
+            cells[names.index(column)] = cell
+        lines.append(",".join(cells))
+    trace = tmp_path / "bad.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["metrics", str(trace)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {trace}:{row + 2}: column {column}: '{cell}' is not a finite "
+        "number\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -524,26 +554,66 @@ def test_options_are_accepted_only_where_read(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    # Only discretizing and fitting need scipy.linalg; importing the CLI, the
+    # commands that never discretize and every config error load no scipy
+    # module, and identify loads scipy.linalg but never scipy.signal.
     log = tmp_path / "log.csv"
     _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
                    noise_frac=0.01)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "t,r,e,u,u_sat,y\n"
+        + "".join(f"{0.01 * k:g},1,{0.5 ** k:g},9,9,{1 - 0.5 ** k:g}\n"
+                  for k in range(8))
+    )
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "plant": "ascension_velocity",
+        "controller": {"type": "pid", "kp": 2000, "ki": 5000},
+        "reference": {"shape": "step", "amplitude": 10.0},
+        "duration": 2.0,
+        "label": None,
+    }))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     code = (
-        "import sys, gemservo.cli as cli\n"
-        "print('scipy.signal' in sys.modules)\n"
-        "code = cli.main(['identify', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(code, 'scipy.signal' in sys.modules)\n"
+        "import contextlib, io, sys\n"
+        "import gemservo.cli as cli\n"
+        "from gemservo.config import load_project\n"
+        "def loaded(step, code=None):\n"
+        "    names = {m for m in sys.modules if m.startswith('scipy')}\n"
+        "    print('loaded:', step, code, len(names) > 0,\n"
+        "          'scipy.linalg' in names, 'scipy.signal' in names,\n"
+        "          file=sys.stderr)\n"
+        "load_project()\n"
+        "loaded('import')\n"
+        "out, log, trace, scenario = sys.argv[1:]\n"
+        "for argv in (['--help'], ['--version'],\n"
+        "             ['workspace', '--n1', '3', '--n2', '3', '--out', out],\n"
+        "             ['metrics', trace],\n"
+        "             ['simulate', scenario], ['identify', log, '--out', out]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        loaded(argv[0], cli.main(argv))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, str(log), str(tmp_path / "out")],
+        [sys.executable, "-c", code, str(tmp_path / "out"), str(log),
+         str(trace), str(scenario)],
         env=env, capture_output=True, text=True, check=True,
     )
-    lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "0 False")
+    steps = [line for line in done.stderr.splitlines()
+             if line.startswith("loaded: ")]
+    assert steps == [
+        "loaded: import None False False False",
+        "loaded: --help 0 False False False",
+        "loaded: --version 0 False False False",
+        "loaded: workspace 0 False False False",
+        "loaded: metrics 0 False False False",
+        "loaded: simulate 2 False False False",
+        "loaded: identify 0 True True False",
+    ]
 
 
 def test_version_and_usage_errors(capsys):

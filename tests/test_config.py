@@ -336,6 +336,20 @@ def test_loop_delay_must_be_a_json_boolean(tmp_path, value):
         assert load_scenario(p).scenario.loop_delay is flag
 
 
+@pytest.mark.parametrize("value", [None, [1, "a"], 7, {"a": 1}, True])
+def test_scenario_label_must_be_a_json_string(tmp_path, value):
+    # str() printed "scenario: None" and wrote "[1, 'a']" into the JSON output
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps({**_SCENARIO, "label": value}))
+    with pytest.raises(ConfigError) as info:
+        load_scenario(p)
+    assert str(info.value) == f"{p}.label: expected a string"
+    p.write_text(json.dumps({**_SCENARIO, "label": ""}))
+    assert load_scenario(p).scenario.label == ""
+    p.write_text(json.dumps(_SCENARIO))
+    assert load_scenario(p).scenario.label == "x"
+
+
 # ---------------------------------------------------------------------------
 # model reports
 

@@ -492,6 +492,26 @@ def test_tune_pid_computes_each_decay_rate_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 25
 
 
+def test_tune_pid_discretizes_the_plant_once(monkeypatch):
+    # 25 decay-rate screens and 43 runs on one (plant, ts) made 68 calls
+    calls = []
+    real = simloop.discretize_zoh
+
+    def counting(ss, ts):
+        calls.append(ts)
+        return real(ss, ts)
+
+    monkeypatch.setattr(simloop, "discretize_zoh", counting)
+    simloop._sampled_plant.cache_clear()
+    tune_pid(
+        PROJECT.plants["declination_velocity"],
+        PROJECT.requirements["declination_velocity"],
+        ts=PROJECT.ts,
+        limits=PROJECT.limits,
+    )
+    assert calls == [PROJECT.ts]
+
+
 @pytest.mark.parametrize(
     "plant, req, limits, n_runs",
     [

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+none of them loads scipy."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,29 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _import_time_scipy_imports(path: Path) -> list[str]:
+    """``import scipy...`` statements that run when the module is imported:
+    everywhere but inside a function body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            line = node.lineno
+            hits.append((line, f"{path.name}:{line}: {ast.unparse(node)}"))
+        todo.extend(ast.iter_child_nodes(node))
+    return [hit for _, hit in sorted(hits)]
+
+
 def test_package_has_no_unused_module_level_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 9
@@ -51,3 +75,34 @@ def test_unused_import_detector_flags_and_exempts(tmp_path):
         "    return pi\n"
     )
     assert _unused_imports(src) == ["mod.py:2: os", "mod.py:4: tau"]
+
+
+def test_package_imports_scipy_only_inside_functions():
+    # scipy.linalg alone takes about a third of a second to import; the
+    # commands that never discretize or fit must not pay for it
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    hits = [hit for path in modules for hit in _import_time_scipy_imports(path)]
+    assert hits == []
+
+
+def test_scipy_import_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np, scipy.linalg\n"
+        "from . import scipy_like\n"
+        "try:\n"
+        "    from scipy import signal\n"
+        "except ImportError:\n"
+        "    signal = None\n"
+        "class K:\n"
+        "    import scipy\n"
+        "def f():\n"
+        "    from scipy.linalg import expm\n"
+        "    return expm\n"
+    )
+    assert _import_time_scipy_imports(src) == [
+        "mod.py:1: import numpy as np, scipy.linalg",
+        "mod.py:4: from scipy import signal",
+        "mod.py:8: import scipy",
+    ]
