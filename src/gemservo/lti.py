@@ -220,28 +220,124 @@ def tf_to_ss(tf: TransferFunction) -> StateSpace:
     return StateSpace(A, B, C, [[d]])
 
 
-@functools.cache
-def _scipy_linalg():
-    """``(expm, dtbtrs)`` from ``scipy.linalg``, imported on the first call.
+# Coefficients b_0 .. b_m of the [m/m] Pade approximant of exp(x), and the
+# largest theta_m for which its backward error stays below 2^-53 (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 2005; theta_13 is the 4.25 of Al-Mohy &
+# Higham, 2009).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
 
-    Importing ``scipy.linalg`` takes about a third of a second, longer than a
-    warm ``reproduce``; commands that never discretize or fit (``workspace``,
-    ``metrics``, config errors) should not pay for it. ``discretize_zoh`` and
-    the fitter's model evaluations take both routines from here, so there is
-    one exponential and one band solver, and a call after the first costs a
-    cache lookup, not an import statement.
+
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _ell(a: np.ndarray, m: int) -> int:
+    """Extra squarings that keep the [m/m] approximant's backward error at
+    unit roundoff: ell(A, m) of Al-Mohy & Higham (2009), with the 1-norm of
+    |A|^(2m+1) computed exactly. The power is taken of |A| divided by its
+    norm, so it cannot overflow."""
+    norm = _norm1(a)
+    if norm == 0.0:
+        return 0
+    power = _norm1(np.linalg.matrix_power(np.abs(a) / norm, 2 * m + 1))
+    if power == 0.0:
+        return 0
+    # |c_{2m+1}| = (m!)^2 / ((2m)! (2m+1)!), the leading backward-error term
+    ln_c = 2 * math.lgamma(m + 1) - math.lgamma(2 * m + 1) - math.lgamma(2 * m + 2)
+    log2_alpha = math.log2(power) + 2 * m * math.log2(norm) + ln_c / math.log(2)
+    return max(math.ceil((log2_alpha + 53) / (2 * m)), 0)
+
+
+def _pade(a: np.ndarray, powers: list[np.ndarray], m: int) -> np.ndarray:
+    """r_m(A) = (V - U)^-1 (V + U) from the even powers A^2, A^4, ...: up to
+    A^(m-1) for m <= 9, A^2, A^4 and A^6 for m = 13."""
+    b = _PADE[m]
+    eye = np.eye(a.shape[0])
+    if m == 13:
+        a2, a4, a6 = powers
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        even = [eye] + powers
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
+        v = sum(b[2 * k] * p for k, p in enumerate(even))
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of a Pade approximant:
+    Algorithm 6.1 of Al-Mohy & Higham, "A new scaling and squaring algorithm
+    for the matrix exponential", SIAM J. Matrix Anal. Appl. 31 (2009).
+
+    The degree and the scaling come from ||A^k||^(1/k), not from ||A||, so a
+    strongly non-normal block, such as the companion rows of a ZOH block, is
+    not over-scaled. Every 1-norm is computed exactly, which is cheap for the
+    small blocks here. A non-finite result is returned as is; callers run it
+    under ``np.errstate`` and reject it.
     """
-    from scipy.linalg import expm
-    from scipy.linalg.lapack import dtbtrs
+    norm = _norm1(a)
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    # The powers are taken of C = A / 2^t, whose 1-norm is at most 1, so they
+    # cannot overflow however non-normal A is; A^k is C^k 2^(kt) to the bit.
+    t = max(math.frexp(norm)[1], 0)
+    c = np.ldexp(a, -t)
+    c2 = c @ c
+    c4 = c2 @ c2
+    c6 = c2 @ c4
+    c8 = c4 @ c4
 
-    return expm, dtbtrs
+    def d(ck: np.ndarray, k: int) -> float:  # ||A^k||^(1/k)
+        return float(np.ldexp(_norm1(ck) ** (1 / k), t))
+
+    def pade(m: int, s: int) -> np.ndarray:  # r_m(A / 2^s)
+        shift = t - s
+        used = (c2, c4, c6, c8)[: 3 if m == 13 else m // 2]
+        even = [np.ldexp(ck, 2 * k * shift) for k, ck in enumerate(used, 1)]
+        return _pade(np.ldexp(c, shift), even, m)
+
+    d4, d6, d8 = d(c4, 4), d(c6, 6), d(c8, 8)
+    for m in (3, 5):
+        if max(d4, d6) <= _THETA[m] and _ell(a, m) == 0:
+            return pade(m, 0)
+    eta3 = max(d6, d8)
+    for m in (7, 9):
+        if eta3 <= _THETA[m] and _ell(a, m) == 0:
+            return pade(m, 0)
+    # every ||A^k||^(1/k) is at most ||A||, which caps one that overflowed
+    eta5 = min(eta3, max(d8, d(c4 @ c6, 10)), norm)
+    s = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
+    s += _ell(np.ldexp(a, -s), 13)
+    x = pade(13, s)
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def discretize_zoh(ss: StateSpace, ts: float) -> DiscreteStateSpace:
     """Zero-order-hold discretization via one exponential of the augmented block.
 
     exp([[A, B], [0, 0]] * ts) = [[Ad, Bd], [0, I]], which is exact for
-    inputs held constant over each sample period.
+    inputs held constant over each sample period. The exponential is
+    :func:`_expm`, the scaling-and-squaring algorithm of Al-Mohy & Higham
+    (2009) in numpy, so discretizing loads no scipy module. A block whose
+    exponential overflows raises the finite-value ``ValueError`` of
+    :class:`DiscreteStateSpace`.
     """
     if not (math.isfinite(ts) and ts > 0.0):
         raise ValueError(f"ts must be positive and finite, got {ts}")
@@ -255,8 +351,8 @@ def discretize_zoh(ss: StateSpace, ts: float) -> DiscreteStateSpace:
             [np.zeros((m, n)), np.zeros((m, m))],
         ]
     )
-    expm, _ = _scipy_linalg()
-    phi = expm(block * ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _expm(block * ts)
     return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], ss.C, ss.D, ts)
 
 

@@ -348,8 +348,8 @@ def read_trace_csv(path: str | Path) -> SimTrace:
                     value = float(cell)
                 except ValueError:
                     raise ValueError(
-                        f"{path}:{lineno}: could not parse {cell.strip()!r} "
-                        "as a number"
+                        f"{path}:{lineno}: column {name}: could not parse "
+                        f"{cell.strip()!r} as a number"
                     ) from None
                 if not math.isfinite(value):
                     raise ValueError(

@@ -15,6 +15,7 @@ deterministic multistart.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ import numpy as np
 
 from .lti import (
     TransferFunction,
-    _scipy_linalg,
     discretize_zoh,
     is_bibo_stable,
     simulate,
@@ -49,6 +49,23 @@ LOW_INPUT_THRESHOLD = 50_000.0
 
 _REL_COST_TOL = 1e-10
 _REL_STEP_TOL = 1e-10
+
+
+@functools.cache
+def _scipy_linalg():
+    """``(expm, dtbtrs)`` from ``scipy.linalg``, imported on the first call.
+
+    Importing ``scipy.linalg`` takes about a fifth of a second, longer than a
+    warm ``identify``; only the fitter needs it, so it loads on the first fit
+    and a call after that costs a cache lookup, not an import statement.
+    A fit makes hundreds of exponentials, and scipy's is several times faster
+    per call than ``lti._expm``; a replay or a tuner pass makes four, so
+    ``lti.discretize_zoh`` keeps its own and loads no scipy.
+    """
+    from scipy.linalg import expm
+    from scipy.linalg.lapack import dtbtrs
+
+    return expm, dtbtrs
 
 
 @dataclass(frozen=True)
@@ -129,7 +146,7 @@ def load_dataset(path: str | Path, label: str | None = None) -> DataSet:
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             data = None
-        if data is None or data.shape[1] != 3:
+        if data is None or data.shape[1] != 3 or not np.all(np.isfinite(data)):
             fh.seek(start)
             data = _scan_rows(path, csv.reader(fh))
     t, u, y = np.ascontiguousarray(data.T)
@@ -141,8 +158,8 @@ def load_dataset(path: str | Path, label: str | None = None) -> DataSet:
 
 def _scan_rows(path: Path, rows) -> np.ndarray:
     """Parse CSV data rows one at a time, for a file that ``np.loadtxt``
-    rejects: skip rows of blank cells, and name the first row that is not
-    three numbers by its line."""
+    rejects or reads a non-finite value from: skip rows of blank cells, and
+    name the first row that is not three finite numbers by its line."""
     values = []
     for lineno, row in enumerate(rows, start=2):
         if all(not c.strip() for c in row):
@@ -151,12 +168,18 @@ def _scan_rows(path: Path, rows) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         for col, cell in zip("tuy", row):
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: column {col}: could not parse "
                     f"{cell.strip()!r} as a number"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}:{lineno}: column {col}: {cell.strip()!r} is not "
+                    "a finite number"
+                )
+            values.append(value)
     return np.array(values).reshape(-1, 3)
 
 

@@ -274,6 +274,28 @@ def test_identify_bad_dataset_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "row, column, cell",
+    [(0, "t", "nan"), (7, "u", "inf"), (7, "y", "nan"), (11, "y", "-Infinity")],
+)
+def test_identify_names_the_line_and_column_of_a_non_finite_cell(
+        tmp_path, capsys, row, column, cell):
+    lines = ["t,u,y"]
+    for k in range(12):
+        cells = [f"{0.004 * k:g}", "250000", f"{0.1 * k:g}"]
+        if k == row:
+            cells["tuy".index(column)] = cell
+        lines.append(",".join(cells))
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["identify", str(log), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {log}:{row + 2}: column {column}: '{cell}' is not a finite "
+        "number\n"
+    )
+
+
 def test_identify_negative_max_iter_exits_two(tmp_path, capsys):
     log = tmp_path / "log.csv"
     _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
@@ -554,9 +576,9 @@ def test_options_are_accepted_only_where_read(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
-    # Only discretizing and fitting need scipy.linalg; importing the CLI, the
-    # commands that never discretize and every config error load no scipy
-    # module, and identify loads scipy.linalg but never scipy.signal.
+    # Only the fitter needs scipy.linalg: importing the CLI, every command
+    # but identify, the tuner, pole placement and every config error load no
+    # scipy module, and identify loads scipy.linalg but never scipy.signal.
     log = tmp_path / "log.csv"
     _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
                    noise_frac=0.01)
@@ -583,20 +605,30 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         "import contextlib, io, sys\n"
         "import gemservo.cli as cli\n"
         "from gemservo.config import load_project\n"
+        "from gemservo.controllers import place_poles, tune_pid\n"
         "def loaded(step, code=None):\n"
         "    names = {m for m in sys.modules if m.startswith('scipy')}\n"
         "    print('loaded:', step, code, len(names) > 0,\n"
         "          'scipy.linalg' in names, 'scipy.signal' in names,\n"
         "          file=sys.stderr)\n"
-        "load_project()\n"
+        "proj = load_project()\n"
         "loaded('import')\n"
         "out, log, trace, scenario = sys.argv[1:]\n"
         "for argv in (['--help'], ['--version'],\n"
         "             ['workspace', '--n1', '3', '--n2', '3', '--out', out],\n"
-        "             ['metrics', trace],\n"
-        "             ['simulate', scenario], ['identify', log, '--out', out]):\n"
+        "             ['metrics', trace], ['simulate', scenario],\n"
+        "             ['simulate', 'ascension_velocity_sf', '--out', out],\n"
+        "             ['reproduce', '--out', out]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        loaded(argv[0], cli.main(argv))\n"
+        "plant = proj.plants['declination_velocity']\n"
+        "tune_pid(plant, proj.requirements['declination_velocity'],\n"
+        "         ts=proj.ts, limits=proj.limits)\n"
+        "loaded('tune_pid')\n"
+        "place_poles(plant, [-25 + 18.75j, -25 - 18.75j, -125])\n"
+        "loaded('place_poles')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    loaded('identify', cli.main(['identify', log, '--out', out]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "out"), str(log),
@@ -612,6 +644,10 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         "loaded: workspace 0 False False False",
         "loaded: metrics 0 False False False",
         "loaded: simulate 2 False False False",
+        "loaded: simulate 0 False False False",
+        "loaded: reproduce 0 False False False",
+        "loaded: tune_pid None False False False",
+        "loaded: place_poles None False False False",
         "loaded: identify 0 True True False",
     ]
 

@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, and
-none of them loads scipy."""
+"""Source hygiene: every module-level import in the package is used, none
+of them loads scipy, and only the fitter imports scipy at all."""
 
 import ast
 from pathlib import Path
@@ -32,15 +32,18 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
-def _import_time_scipy_imports(path: Path) -> list[str]:
-    """``import scipy...`` statements that run when the module is imported:
-    everywhere but inside a function body."""
+def _scipy_imports(path: Path, in_functions: bool = False) -> list[str]:
+    """``import scipy...`` statements of a module as ``file:line: statement``:
+    those that run when the module is imported, everywhere but inside a
+    function body, or with ``in_functions`` every one."""
     tree = ast.parse(path.read_text(), filename=str(path))
     hits = []
     todo = list(tree.body)
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not in_functions and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
             continue
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
@@ -82,8 +85,19 @@ def test_package_imports_scipy_only_inside_functions():
     # commands that never discretize or fit must not pay for it
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 9
-    hits = [hit for path in modules for hit in _import_time_scipy_imports(path)]
+    hits = [hit for path in modules for hit in _scipy_imports(path)]
     assert hits == []
+
+
+def test_only_the_fitter_imports_scipy():
+    # lti.discretize_zoh has its own exponential, so simulate, reproduce and
+    # the tuner run without scipy; sysid keeps scipy.linalg for its fits
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    importers = {
+        path.name for path in modules if _scipy_imports(path, in_functions=True)
+    }
+    assert importers == {"sysid.py"}
 
 
 def test_scipy_import_detector_flags_and_exempts(tmp_path):
@@ -101,8 +115,14 @@ def test_scipy_import_detector_flags_and_exempts(tmp_path):
         "    from scipy.linalg import expm\n"
         "    return expm\n"
     )
-    assert _import_time_scipy_imports(src) == [
+    assert _scipy_imports(src) == [
         "mod.py:1: import numpy as np, scipy.linalg",
         "mod.py:4: from scipy import signal",
         "mod.py:8: import scipy",
+    ]
+    assert _scipy_imports(src, in_functions=True) == [
+        "mod.py:1: import numpy as np, scipy.linalg",
+        "mod.py:4: from scipy import signal",
+        "mod.py:8: import scipy",
+        "mod.py:10: from scipy.linalg import expm",
     ]

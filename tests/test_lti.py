@@ -2,11 +2,13 @@
 zero-order-hold discretization and the classification helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gemservo import lti
 from gemservo.config import load_project
 from gemservo.lti import (
     DiscreteStateSpace,
@@ -176,7 +178,7 @@ def test_state_space_validation():
 
 
 # ---------------------------------------------------------------------------
-# ZOH discretization (dual route: scipy expm inside, Pade oracle here)
+# ZOH discretization (dual route: lti._expm inside, Pade oracle here)
 
 
 def test_zoh_first_order_analytic():
@@ -206,6 +208,52 @@ def test_zoh_matches_independent_pade_oracle():
         Ad, Bd = _zoh_oracle(ss, 0.01)
         np.testing.assert_allclose(dss.Ad, Ad, rtol=1e-11, atol=1e-14)
         np.testing.assert_allclose(dss.Bd, Bd, rtol=1e-11, atol=1e-14)
+
+
+def test_expm_takes_each_pade_degree_and_matches_the_oracle(monkeypatch):
+    degrees = []
+    pade = lti._pade
+
+    def spy(a, powers, m):
+        degrees.append(m)
+        return pade(a, powers, m)
+
+    monkeypatch.setattr(lti, "_pade", spy)
+    M = np.random.default_rng(0).standard_normal((4, 4))
+    M /= np.linalg.norm(M, 1)
+    for norm, degree in ((0.002, 3), (0.05, 5), (1.0, 7), (3.0, 9), (30.0, 13)):
+        degrees.clear()
+        got = lti._expm(norm * M)
+        assert degrees == [degree]
+        want = _expm_pade(norm * M)
+        err = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+        assert err <= 64 * np.finfo(float).eps * max(1.0, norm)
+
+
+def test_expm_of_a_nilpotent_block_is_its_finite_series():
+    # ||A|| = 1e6 but A^3 = 0: the degree follows ||A^k||^(1/k), not ||A||,
+    # so nothing is scaled and squared away
+    A = np.array([[0.0, 1e6, 0.0], [0.0, 0.0, 1e6], [0.0, 0.0, 0.0]])
+    assert np.array_equal(lti._expm(A), np.eye(3) + A + A @ A / 2.0)
+
+
+@pytest.mark.parametrize(
+    "den, ts",
+    [((1.0, -1e6, 1.0), 0.01), ((1.0, -1e5, 1.0), 0.01),
+     ((1.0, 0.0, -1e12, 0.0), 0.004),
+     ((1.0, 0.0, -1e90), 0.01),  # scaled by ||A||, this block loses its growth
+     ((1.0, -1.7e308), 1.0),  # ||A|| ** (1/k) near the float limit
+     ((1.0, 0.0, -1e300), 1e10)],  # the block A ts itself overflows
+)
+def test_zoh_overflow_raises_the_finite_value_error(den, ts, capfd):
+    ss = tf_to_ss(TransferFunction((1.0,), den))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            discretize_zoh(ss, ts)
+    assert type(exc.value) is ValueError  # not numpy's LinAlgError subclass
+    assert str(exc.value) == "Ad must contain only finite values"
+    assert capfd.readouterr() == ("", "")
 
 
 def test_zoh_eigenvalue_mapping():

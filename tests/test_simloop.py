@@ -337,7 +337,9 @@ def test_read_trace_csv_error_paths(tmp_path):
 
     p = tmp_path / "cell.csv"
     p.write_text("t,r,e,u,u_sat,y\n0,0,0,0,0,0\n0.01,0,0,x,0,0\n")
-    with pytest.raises(ValueError, match=r"cell\.csv:3: could not parse 'x'"):
+    with pytest.raises(
+        ValueError, match=r"cell\.csv:3: column u: could not parse 'x' as a number$"
+    ):
         read_trace_csv(p)
 
     p = tmp_path / "width.csv"

@@ -14,7 +14,15 @@ from scipy.linalg import expm
 
 from gemservo import sysid
 from gemservo.config import load_project
-from gemservo.lti import TransferFunction, discretize_zoh, poles, simulate, system_type, tf_to_ss
+from gemservo.lti import (
+    DiscreteStateSpace,
+    TransferFunction,
+    discretize_zoh,
+    poles,
+    simulate,
+    system_type,
+    tf_to_ss,
+)
 from gemservo.sysid import (
     DataSet,
     FitReport,
@@ -481,21 +489,55 @@ _COST_CASES = dict(
 # sampled model lose the poles' precision; the state recursion does not
 @example(b0=1.0, a1=-5.0, a0=1.0, ts=0.008821800229229307, n=263, seed=295)
 def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
+    # the reference steps _cost's own sampled model, scipy's exponential of
+    # the same block, so only the band solve is compared with the float
+    # recursion of lti.simulate
     u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
-    model = TransferFunction((b0,), (1.0, a1, a0))
-    ref, _ = simulate(discretize_zoh(tf_to_ss(model), ts), u)
+    phi = expm(sysid._zoh_block(a1, a0, ts))
+    model = DiscreteStateSpace(phi[:2, :2], phi[:2, 2:], [[b0, 0.0]], [[0.0]], ts)
+    ref, _ = simulate(model, u)
     r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
     assert r is not None
     assert float(np.max(np.abs(r - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
 
 
-@settings(deadline=None)
-@given(a1=_COST_CASES["a1"], a0=_COST_CASES["a0"], ts=_COST_CASES["ts"])
-def test_cost_builds_the_sampled_model_of_lti_bit_for_bit(a1, a0, ts):
-    dss = discretize_zoh(tf_to_ss(TransferFunction((1.0,), (1.0, a1, a0))), ts)
-    phi = expm(sysid._zoh_block(a1, a0, ts))
-    assert np.array_equal(phi[:2, :2], dss.Ad)
-    assert np.array_equal(phi[:2, 2:], dss.Bd)
+# The relative condition number of exp(M) is at least ||M|| (Higham,
+# Functions of Matrices, 2008, chapter 10), so two backward-stable
+# exponentials may differ by a small multiple of eps ||M||, not of eps: at
+# a0 = 1e5, ts = 10 ms the block's norm is 1e3, its exponential's a few.
+_ZOH_RTOL = 16 * np.finfo(float).eps
+_PLANTS = [tf for _, tf in sorted(load_project().plants.items())]
+
+
+@st.composite
+def _zoh_models(draw):
+    """(model, ts): a sysid candidate in the ``_COST_CASES`` ranges, or a
+    bundled plant, at a sampling period of 1 to 10 ms."""
+    ts = draw(_COST_CASES["ts"])
+    if draw(st.booleans()):
+        model = TransferFunction(
+            (1.0,), (1.0, draw(_COST_CASES["a1"]), draw(_COST_CASES["a0"]))
+        )
+    else:
+        model = draw(st.sampled_from(_PLANTS))
+    return model, ts
+
+
+@settings(deadline=None, max_examples=3000)
+@given(case=_zoh_models())
+def test_discretize_zoh_agrees_with_scipy_expm(case):
+    # lti.discretize_zoh has its own numpy exponential; the fitter keeps
+    # scipy's. Both must give the same sampled model to within rounding.
+    model, ts = case
+    ss = tf_to_ss(model)
+    n = ss.order
+    block = np.block([[ss.A, ss.B], [np.zeros((1, n + 1))]]) * ts
+    phi = expm(block)
+    dss = discretize_zoh(ss, ts)
+    tol = _ZOH_RTOL * max(1.0, np.linalg.norm(block, 1))
+    for got, want in ((dss.Ad, phi[:n, :n]), (dss.Bd, phi[:n, n:])):
+        err = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+        assert err <= tol
 
 
 def test_cost_rejects_nonfinite_parameters_and_models():
