@@ -22,6 +22,7 @@ from . import __version__, simloop
 from .config import (
     ConfigError,
     Project,
+    _read_json,
     bundled_scenario_names,
     geometry_from_json,
     load_project,
@@ -30,7 +31,7 @@ from .config import (
     tf_to_json,
 )
 from .controllers import ActuatorLimits
-from .kinematics import DEFAULT_GEOMETRY, workspace, write_workspace_csv
+from .kinematics import MountGeometry, workspace, write_workspace_csv
 from .metrics import (
     CONSTANTS,
     ESS_REL_TOL,
@@ -266,21 +267,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_workspace(args) -> int:
     if args.geometry:
-        path = Path(args.geometry)
-        if not path.exists():
-            raise ConfigError(f"{args.geometry}: no such file")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.geometry}: invalid JSON: {exc}") from None
-        geom = geometry_from_json(raw, str(path))
+        raw = _read_json(args.geometry, args.geometry)
+        geom = geometry_from_json(raw, str(Path(args.geometry)))
     elif args.l1 is not None or args.l2 is not None or args.alpha is not None:
         if args.l1 is None or args.l2 is None or args.alpha is None:
             raise ConfigError("--l1, --l2 and --alpha must be given together")
         try:
-            geom = DEFAULT_GEOMETRY.__class__(
-                l1=args.l1, l2=args.l2, alpha=math.radians(args.alpha)
-            )
+            geom = MountGeometry(l1=args.l1, l2=args.l2, alpha=math.radians(args.alpha))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     else:

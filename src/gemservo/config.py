@@ -89,6 +89,38 @@ def _num(value, ctx: str) -> float:
     return v
 
 
+def _str(value, ctx: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{ctx}: expected a string")
+    return value
+
+
+def _parse_json(text: str, name: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: invalid JSON: {exc}") from None
+
+
+def _read_json(path: str | Path, name: str):
+    """The JSON document in the file at ``path``; errors are named ``name``."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{name}: no such file")
+    return _parse_json(p.read_text(), name)
+
+
+def _named_or_inline(spec, table: dict, ctx: str, kind: str, parse):
+    """``table[spec]`` when ``spec`` is a name, else ``parse(spec, ctx)``."""
+    if not isinstance(spec, str):
+        return parse(spec, ctx)
+    if spec not in table:
+        raise ConfigError(
+            f"{ctx}: unknown {kind} {spec!r} (known: {', '.join(sorted(table))})"
+        )
+    return table[spec]
+
+
 def _build(ctx: str, factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, with a ValueError it raises re-raised as
     a ConfigError under ``ctx``. The arguments are evaluated by the caller, so
@@ -186,7 +218,7 @@ def requirement_from_json(obj, ctx: str, label: str = "") -> Requirement:
         tss_max=_num(_get(obj, "tss_max", ctx), f"{ctx}.tss_max"),
         os_max=_num(_get(obj, "os_max", ctx), f"{ctx}.os_max"),
         ess_max=_num(obj.get("ess_max", 0.0), f"{ctx}.ess_max"),
-        units=str(obj.get("units", "")),
+        units=_str(obj.get("units", ""), f"{ctx}.units"),
         label=label,
     )
 
@@ -212,7 +244,7 @@ def geometry_from_json(obj, ctx: str) -> MountGeometry:
 
 def _signal_fields(obj, ctx: str) -> dict:
     return {
-        "shape": str(_get(obj, "shape", ctx)),
+        "shape": _str(_get(obj, "shape", ctx), f"{ctx}.shape"),
         "amplitude": _num(obj.get("amplitude", 0.0), f"{ctx}.amplitude"),
         "rate": _num(obj.get("rate", 0.0), f"{ctx}.rate"),
         "start": _num(obj.get("start", 0.0), f"{ctx}.start"),
@@ -228,7 +260,7 @@ def _disturbance_from_json(obj, ctx: str) -> DisturbanceSpec:
         ctx,
         DisturbanceSpec,
         **_signal_fields(obj, ctx),
-        inject=str(obj.get("inject", "input")),
+        inject=_str(obj.get("inject", "input"), f"{ctx}.inject"),
     )
 
 
@@ -251,17 +283,10 @@ def load_project(path: str | Path | None = None) -> Project:
     """Load a project JSON; ``None`` loads the bundled one."""
     if path is None:
         name = "gemservo/data/project.json"
-        text = (_data_root() / "project.json").read_text()
+        raw = _parse_json((_data_root() / "project.json").read_text(), name)
     else:
         name = str(path)
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"{name}: no such file")
-        text = p.read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{name}: invalid JSON: {exc}") from None
+        raw = _read_json(path, name)
 
     defaults = _get(raw, "defaults", name)
     ts = _num(_get(defaults, "ts", f"{name}.defaults"), f"{name}.defaults.ts")
@@ -321,48 +346,26 @@ def load_scenario(
     p = Path(path)
     if p.exists():
         name = str(path)
-        text = p.read_text()
         stem = p.stem
     else:
-        stem = str(path)
-        if stem.endswith(".json"):
-            stem = stem[: -len(".json")]
-        candidate = _data_root() / "scenarios" / f"{stem}.json"
-        if not candidate.is_file():
+        stem = str(path).removesuffix(".json")
+        p = _data_root() / "scenarios" / f"{stem}.json"
+        if not p.is_file():
             raise ConfigError(
                 f"{path}: no such file and no bundled scenario of that name "
                 f"(bundled: {', '.join(bundled_scenario_names())})"
             )
         name = f"bundled:{stem}"
-        text = candidate.read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{name}: invalid JSON: {exc}") from None
+    raw = _parse_json(p.read_text(), name)
 
-    plant_spec = _get(raw, "plant", name)
-    if isinstance(plant_spec, str):
-        if plant_spec not in project.plants:
-            raise ConfigError(
-                f"{name}.plant: unknown plant {plant_spec!r} "
-                f"(known: {', '.join(sorted(project.plants))})"
-            )
-        plant = project.plants[plant_spec]
-    else:
-        plant = tf_from_json(plant_spec, f"{name}.plant")
-
-    ctrl_spec = _get(raw, "controller", name)
-    if isinstance(ctrl_spec, str):
-        if ctrl_spec not in project.controllers:
-            raise ConfigError(
-                f"{name}.controller: unknown controller {ctrl_spec!r} "
-                f"(known: {', '.join(sorted(project.controllers))})"
-            )
-        controller = project.controllers[ctrl_spec]
-    else:
-        controller = controller_from_json(
-            ctrl_spec, f"{name}.controller", plant=plant
-        )
+    plant = _named_or_inline(
+        _get(raw, "plant", name), project.plants, f"{name}.plant", "plant",
+        tf_from_json,
+    )
+    controller = _named_or_inline(
+        _get(raw, "controller", name), project.controllers, f"{name}.controller",
+        "controller", lambda obj, ctx: controller_from_json(obj, ctx, plant=plant),
+    )
     reference = _signal_from_json(_get(raw, "reference", name), f"{name}.reference")
     disturbance = None
     if "disturbance" in raw and raw["disturbance"] is not None:
@@ -370,16 +373,10 @@ def load_scenario(
 
     requirement = None
     if "requirement" in raw and raw["requirement"] is not None:
-        req_spec = raw["requirement"]
-        if isinstance(req_spec, str):
-            if req_spec not in project.requirements:
-                raise ConfigError(
-                    f"{name}.requirement: unknown requirement {req_spec!r} "
-                    f"(known: {', '.join(sorted(project.requirements))})"
-                )
-            requirement = project.requirements[req_spec]
-        else:
-            requirement = requirement_from_json(req_spec, f"{name}.requirement")
+        requirement = _named_or_inline(
+            raw["requirement"], project.requirements, f"{name}.requirement",
+            "requirement", requirement_from_json,
+        )
 
     limits = project.limits
     if "limits" in raw and raw["limits"] is not None:
@@ -388,9 +385,7 @@ def load_scenario(
     if ts_override is not None:
         ts = ts_override
     duration = _num(_get(raw, "duration", name), f"{name}.duration")
-    label = raw.get("label", stem)
-    if not isinstance(label, str):
-        raise ConfigError(f"{name}.label: expected a string")
+    label = _str(raw.get("label", stem), f"{name}.label")
     loop_delay = raw.get("loop_delay", False)
     if not isinstance(loop_delay, bool):
         raise ConfigError(f"{name}.loop_delay: expected true or false")

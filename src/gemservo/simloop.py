@@ -12,7 +12,6 @@ not depend on the BLAS build numpy runs on either.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -33,7 +32,6 @@ from .controllers import (
 )
 from .lti import (
     DiscreteStateSpace,
-    StateSpace,
     TransferFunction,
     discretize_zoh,
     float_stepper,
@@ -50,6 +48,7 @@ from .metrics import (
     analyze_step,
     check_requirements,
 )
+from .sysid import _read_columns
 
 __all__ = [
     "SignalSpec",
@@ -123,7 +122,7 @@ class Scenario:
     explicit value overrides both for this run.
     """
 
-    plant: TransferFunction | StateSpace
+    plant: TransferFunction
     controller: PidGains | StateFeedbackGains
     reference: SignalSpec
     duration: float
@@ -142,6 +141,10 @@ class Scenario:
         if n > _MAX_SAMPLES:
             raise ValueError(
                 f"scenario would need {n:.3g} samples; limit is {_MAX_SAMPLES}"
+            )
+        if not isinstance(self.plant, TransferFunction):
+            raise ValueError(
+                f"plant must be a TransferFunction, got {type(self.plant).__name__}"
             )
         if not isinstance(self.controller, (PidGains, StateFeedbackGains)):
             raise ValueError(
@@ -200,24 +203,20 @@ def _sampled_plant(plant: TransferFunction, ts: float) -> DiscreteStateSpace:
 
     A tuner screens and simulates dozens of gain sets on one (plant, ts);
     the model is frozen, with read-only arrays, so every caller can share it.
+    A biproper plant is refused here, for the loop, its matrix and the tuner.
     """
-    return discretize_zoh(tf_to_ss(plant), ts)
-
-
-def run(scenario: Scenario) -> SimTrace:
-    """Simulate the scenario and return the full trace."""
-    plant = scenario.plant
-    if isinstance(plant, TransferFunction):
-        dss = _sampled_plant(plant, scenario.ts)
-    else:
-        dss = discretize_zoh(plant, scenario.ts)
-    if dss.Bd.shape[1] != 1 or dss.C.shape[0] != 1:
-        raise ValueError("closed-loop simulation needs a SISO plant")
+    dss = discretize_zoh(tf_to_ss(plant), ts)
     if np.any(dss.D != 0.0):
         raise ValueError(
             "plants with direct feedthrough (D != 0) would close an algebraic "
             "loop and are not supported"
         )
+    return dss
+
+
+def run(scenario: Scenario) -> SimTrace:
+    """Simulate the scenario and return the full trace."""
+    dss = _sampled_plant(scenario.plant, scenario.ts)
     n = dss.order
     gains = scenario.controller
     is_pid = isinstance(gains, PidGains)
@@ -323,43 +322,10 @@ def read_trace_csv(path: str | Path) -> SimTrace:
     """Read a trace CSV produced by :func:`write_trace_csv`. Errors name the
     file and the line; a cell that is not a finite number is refused."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        expected = ["t", "r", "e", "u", "u_sat", "y"]
-        if [h.strip().lower() for h in header] != expected:
-            raise ValueError(
-                f"{path}:1: expected header {','.join(expected)!r}, got "
-                f"{','.join(header)!r}"
-            )
-        cols: list[list[float]] = [[] for _ in expected]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 6:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 6 columns, got {len(row)}"
-                )
-            for col, name, cell in zip(cols, expected, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: column {name}: could not parse "
-                        f"{cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}:{lineno}: column {name}: {cell.strip()!r} is "
-                        "not a finite number"
-                    )
-                col.append(value)
-    if len(cols[0]) < 2:
+    cols = _read_columns(path, ("t", "r", "e", "u", "u_sat", "y"))
+    if len(cols) < 2:
         raise ValueError(f"{path}: trace needs at least 2 samples")
-    t, r, e, u, us, y = (np.array(col) for col in cols)
+    t, r, e, u, us, y = np.ascontiguousarray(cols.T)
     dt = np.diff(t)
     ts = float(dt[0])
     if ts <= 0.0 or np.any(np.abs(dt - ts) > 1e-6 * ts):

@@ -128,45 +128,55 @@ class DataSet:
 def load_dataset(path: str | Path, label: str | None = None) -> DataSet:
     """Read a `t,u,y` CSV file. Errors name the file and the line."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        line = fh.readline()
-        if not line:
-            raise ValueError(f"{path}: file is empty")
-        header = next(csv.reader([line]))
-        cols = [c.strip().lower() for c in header]
-        if cols != ["t", "u", "y"]:
-            raise ValueError(
-                f"{path}:1: expected header 't,u,y', got {','.join(header)!r}"
-            )
-        start = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # no rows: DataSet reports the sample count
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != 3 or not np.all(np.isfinite(data)):
-            fh.seek(start)
-            data = _scan_rows(path, csv.reader(fh))
-    t, u, y = np.ascontiguousarray(data.T)
+    t, u, y = np.ascontiguousarray(_read_columns(path, ("t", "u", "y")).T)
     try:
         return DataSet(t, u, y, label=label if label is not None else path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _scan_rows(path: Path, rows) -> np.ndarray:
+def _read_columns(path: Path, names: tuple[str, ...]) -> np.ndarray:
+    """The rows of a CSV file headed ``names``, as an ``(n, len(names))``
+    array of finite numbers: the one reader of drive logs and loop traces.
+    ``np.loadtxt`` reads a clean file, :func:`_scan_rows` any other."""
+    n = len(names)
+    with open(path, newline="") as fh:
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: file is empty")
+        header = next(csv.reader([line]))
+        if [c.strip().lower() for c in header] != list(names):
+            raise ValueError(
+                f"{path}:1: expected header {','.join(names)!r}, got "
+                f"{','.join(header)!r}"
+            )
+        start = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # no rows: the caller reports the sample count
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != n or not np.all(np.isfinite(data)):
+            fh.seek(start)
+            data = _scan_rows(path, csv.reader(fh), names)
+    return data
+
+
+def _scan_rows(path: Path, rows, names: tuple[str, ...]) -> np.ndarray:
     """Parse CSV data rows one at a time, for a file that ``np.loadtxt``
     rejects or reads a non-finite value from: skip rows of blank cells, and
-    name the first row that is not three finite numbers by its line."""
+    name the first row that is not one finite number per name by its line."""
     values = []
     for lineno, row in enumerate(rows, start=2):
         if all(not c.strip() for c in row):
             continue
-        if len(row) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        for col, cell in zip("tuy", row):
+        if len(row) != len(names):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(names)} columns, got {len(row)}"
+            )
+        for col, cell in zip(names, row):
             try:
                 value = float(cell)
             except ValueError:
@@ -180,7 +190,7 @@ def _scan_rows(path: Path, rows) -> np.ndarray:
                     "a finite number"
                 )
             values.append(value)
-    return np.array(values).reshape(-1, 3)
+    return np.array(values).reshape(-1, len(names))
 
 
 @dataclass(frozen=True)

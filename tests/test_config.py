@@ -167,6 +167,10 @@ def test_requirement_limits_geometry_from_json():
     assert req.label == "row" and req.units == "deg/s" and req.ess_max == 0.0
     with pytest.raises(ConfigError, match=r"r: missing key 'tss_max'"):
         requirement_from_json({"amplitude": 1.0, "os_max": 5.0}, "r")
+    req = {"amplitude": 1.0, "tss_max": 1.0, "os_max": 5.0}
+    assert requirement_from_json(req, "r").units == ""
+    with pytest.raises(ConfigError, match=r"^r\.units: expected a string$"):
+        requirement_from_json({**req, "units": 3}, "r")
     lim = limits_from_json({"umin": -2.0, "umax": 2.0}, "l")
     assert (lim.u_min, lim.u_max) == (-2.0, 2.0)
     with pytest.raises(ConfigError, match=r"l: missing key 'umin'"):
@@ -308,6 +312,14 @@ _SCENARIO = {
          "requirement: missing key 'amplitude'"),
         ("limits", {"umin": 0.0, "umax": False},
          "limits.umax: expected a number, got False"),
+        # str() would pass these on as '1' and 'None'
+        ("reference", {"shape": 1, "amplitude": 1.0},
+         "reference.shape: expected a string"),
+        ("disturbance", {"shape": "step", "amplitude": 1.0, "inject": None},
+         "disturbance.inject: expected a string"),
+        ("requirement", {"amplitude": 1.0, "tss_max": 1.0, "os_max": 5.0,
+                         "units": None},
+         "requirement.units: expected a string"),
     ],
 )
 def test_scenario_loader_errors_name_the_path_once(tmp_path, key, value, message):

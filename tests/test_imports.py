@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, none
-of them loads scipy, and only the fitter imports scipy at all."""
+of them loads scipy, only the fitter imports scipy at all, and each kind of
+input file has one reader."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,21 @@ def _scipy_imports(path: Path, in_functions: bool = False) -> list[str]:
             line = node.lineno
             hits.append((line, f"{path.name}:{line}: {ast.unparse(node)}"))
         todo.extend(ast.iter_child_nodes(node))
+    return [hit for _, hit in sorted(hits)]
+
+
+def _reader_calls(path: Path) -> list[str]:
+    """Calls of ``np.loadtxt``, ``csv.reader`` and ``json.loads`` in a module,
+    as ``file:line: call``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    wanted = {"np.loadtxt", "numpy.loadtxt", "csv.reader", "json.loads"}
+    hits = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            call = f"{func.value.id}.{func.attr}"
+            if call in wanted:
+                hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
     return [hit for _, hit in sorted(hits)]
 
 
@@ -125,4 +141,38 @@ def test_scipy_import_detector_flags_and_exempts(tmp_path):
         "mod.py:4: from scipy import signal",
         "mod.py:8: import scipy",
         "mod.py:10: from scipy.linalg import expm",
+    ]
+
+
+def test_each_input_kind_has_one_reader():
+    # drive logs and loop traces share sysid._read_columns; project, scenario
+    # and geometry files share config._parse_json
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    calls = {}
+    for path in modules:
+        for hit in _reader_calls(path):
+            calls.setdefault(hit.rsplit(" ", 1)[1], set()).add(path.name)
+    assert calls == {
+        "np.loadtxt": {"sysid.py"},
+        "csv.reader": {"sysid.py"},
+        "json.loads": {"config.py"},
+    }
+
+
+def test_reader_call_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import csv, json\n"
+        "import numpy as np\n"
+        "def f(fh, text):\n"
+        "    rows = list(csv.reader(fh))\n"
+        "    data = np.loadtxt(fh, delimiter=',')\n"
+        "    doc = json.loads(text)\n"
+        "    return json.dumps(doc), np.savetxt, csv.writer(fh)\n"
+    )
+    assert _reader_calls(src) == [
+        "mod.py:4: csv.reader",
+        "mod.py:5: np.loadtxt",
+        "mod.py:6: json.loads",
     ]

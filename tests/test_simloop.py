@@ -1,13 +1,16 @@
 """Tests for the closed-loop simulation harness: scenarios, traces,
 saturation accounting, divergence handling and the study suites."""
 
+import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gemservo import sysid
 from gemservo.config import load_project
 from gemservo.controllers import (
     DEFAULT_LIMITS,
@@ -18,6 +21,7 @@ from gemservo.controllers import (
     pid_step,
     place_poles,
     sf_step,
+    tune_pid,
 )
 from gemservo.lti import TransferFunction, dc_gain, discretize_zoh, tf_to_ss
 from gemservo.metrics import Requirement, analyze_step
@@ -86,6 +90,10 @@ def test_scenario_validation():
         Scenario(plant=ASC_VEL, controller=ctrl, reference=ref, duration=1e7, ts=0.01)
     with pytest.raises(ValueError, match="controller"):
         Scenario(plant=ASC_VEL, controller="pid", reference=ref, duration=1.0)
+    with pytest.raises(
+        ValueError, match="^plant must be a TransferFunction, got StateSpace$"
+    ):
+        Scenario(plant=tf_to_ss(ASC_VEL), controller=ctrl, reference=ref, duration=1.0)
     with pytest.raises(ValueError, match="reference starts"):
         Scenario(
             plant=ASC_VEL,
@@ -115,6 +123,27 @@ def test_effective_limits_resolution():
     sf = StateFeedbackGains(k1=(0.0, 0.0), k2=0.0)
     scen = Scenario(plant=ASC_VEL, controller=sf, reference=ref, duration=1.0)
     assert scen.effective_limits() == DEFAULT_LIMITS
+
+
+def test_a_biproper_plant_is_refused_by_the_loop_its_matrix_and_the_tuner():
+    # s/(s+2) has D = 1; a loop matrix built without D describes another loop
+    biproper = TransferFunction((1.0, 0.0), (1.0, 2.0))
+    pid = PidGains(1.0, 1.0, 0.0)
+    req = Requirement(amplitude=1.0, tss_max=1.0, os_max=10.0)
+    message = (
+        "plants with direct feedthrough (D != 0) would close an algebraic "
+        "loop and are not supported"
+    )
+    calls = [
+        lambda: run(_step_scenario(biproper, pid, 1.0, 1.0)),
+        lambda: discrete_loop_matrix(biproper, pid),
+        lambda: sampled_decay_rate(biproper, pid),
+        lambda: tune_pid(biproper, req),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_run_rejects_mismatched_state_feedback():
@@ -356,6 +385,183 @@ def test_read_trace_csv_error_paths(tmp_path):
     p.write_text("t,r,e,u,u_sat,y\n0,0,0,0,0,0\n0.01,0,0,0,0,0\n0.05,0,0,0,0,0\n")
     with pytest.raises(ValueError, match="uniformly"):
         read_trace_csv(p)
+
+
+_TRACE_COLUMNS = ("t", "r", "e", "u", "u_sat", "y")
+
+
+def _reference_read_trace_csv(path):
+    """The former ``read_trace_csv``, kept as the reference: every cell of
+    the file parsed by ``float`` in a Python loop."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty") from None
+        expected = ["t", "r", "e", "u", "u_sat", "y"]
+        if [h.strip().lower() for h in header] != expected:
+            raise ValueError(
+                f"{path}:1: expected header {','.join(expected)!r}, got "
+                f"{','.join(header)!r}"
+            )
+        cols: list[list[float]] = [[] for _ in expected]
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 6:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 6 columns, got {len(row)}"
+                )
+            for col, name, cell in zip(cols, expected, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: column {name}: could not parse "
+                        f"{cell.strip()!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{lineno}: column {name}: {cell.strip()!r} is "
+                        "not a finite number"
+                    )
+                col.append(value)
+    if len(cols[0]) < 2:
+        raise ValueError(f"{path}: trace needs at least 2 samples")
+    t, r, e, u, us, y = (np.array(col) for col in cols)
+    dt = np.diff(t)
+    ts = float(dt[0])
+    if ts <= 0.0 or np.any(np.abs(dt - ts) > 1e-6 * ts):
+        raise ValueError(f"{path}: t column must be uniformly increasing")
+    sat = float(np.mean(u != us))
+    return SimTrace(
+        t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts,
+        saturation_fraction=sat, diverged=False,
+    )
+
+
+def _trace_outcome(reader, path):
+    """The arrays and scalars a trace reader returns, byte for byte, or its
+    message."""
+    try:
+        tr = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = tuple(getattr(tr, name).tobytes() for name in _TRACE_COLUMNS)
+    return arrays + (tr.ts, tr.saturation_fraction, tr.diverged)
+
+
+def _trace_rows(n=8):
+    return [
+        f"{k * 0.01!r},10.0,{10.0 - k!r},{9e4 * k},{min(9e4 * k, 3.5e5)},{k!r}"
+        for k in range(n)
+    ]
+
+
+_HEADER = "t,r,e,u,u_sat,y"
+
+# files np.loadtxt parses on its own, then files left to the row scan or
+# refused before it
+_FAST_TRACES = {
+    "written": None,
+    "blank_lines": _HEADER + "\n\n" + "\n\n".join(_trace_rows()) + "\n\n",
+    "padded_cells": " T , r,e,U,u_SAT,y\n" + "\n".join(
+        " " + r.replace(",", " ,\t") + " " for r in _trace_rows()) + "\n",
+    "crlf": _HEADER + "\r\n" + "\r\n".join(_trace_rows()) + "\r\n",
+    "no_final_newline": _HEADER + "\n" + "\n".join(_trace_rows()),
+    "one_row": _HEADER + "\n" + _trace_rows(1)[0] + "\n",
+    "jagged_t": _HEADER + "\n" + "\n".join(_trace_rows(3) + ["0.05,0,0,0,0,0"]),
+    "falling_t": _HEADER + "\n" + "\n".join(reversed(_trace_rows())),
+}
+_SCANNED_TRACES = {
+    "empty": "",
+    "blank_first_line": "\n" + _HEADER + "\n" + "\n".join(_trace_rows()),
+    "bad_header": "t,r,e,u,usat,y\n" + "\n".join(_trace_rows()),
+    "short_header": "t,u,y\n" + "\n".join(_trace_rows()),
+    "header_only": _HEADER + "\n",
+    "whitespace_row": _HEADER + "\n" + "\n  \t\n".join(_trace_rows()) + "\n",
+    "comma_row": _HEADER + "\n" + "\n ,,,, ,\n".join(_trace_rows()) + "\n",
+    "quoted_cells": _HEADER + "\n" + "\n".join(
+        ",".join(f'"{c}"' for c in r.split(",")) for r in _trace_rows()) + "\n",
+    "bad_cell": _HEADER + "\n" + "\n".join(_trace_rows()).replace(",270000.0,", ",x,"),
+    "empty_cell": _HEADER + "\n" + "\n".join(_trace_rows()).replace(",270000.0,", ",,"),
+    "nan_cell": _HEADER + "\n" + "\n".join(_trace_rows()).replace(",10.0,", ",nan,", 1),
+    "inf_cell": _HEADER + "\n" + "\n".join(_trace_rows()).replace(",3,", ",-inf,"),
+    "five_columns": _HEADER + "\n" + "\n".join(r.rsplit(",", 1)[0] for r in _trace_rows()),
+    "seven_columns": _HEADER + "\n" + "\n".join(r + ",1" for r in _trace_rows()),
+    "short_row": _HEADER + "\n" + "\n".join(_trace_rows() + ["0.08,1"]),
+    "old_mac_line_ends": _HEADER + "\r" + "\r".join(_trace_rows()) + "\r",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAST_TRACES) + sorted(_SCANNED_TRACES))
+def test_read_trace_csv_matches_the_cell_by_cell_reference(name, tmp_path, monkeypatch):
+    path = tmp_path / f"{name}.csv"
+    if name == "written":
+        write_trace_csv(run(_step_scenario(
+            DECL_VEL, PROJECT.controllers["declination_velocity_pid"], 10.0, 2.0
+        )), path)
+    else:
+        path.write_bytes({**_FAST_TRACES, **_SCANNED_TRACES}[name].encode())
+    want = _trace_outcome(_reference_read_trace_csv, path)
+    if name in _FAST_TRACES:
+        def no_scan(*args):
+            raise AssertionError("np.loadtxt should have parsed this file")
+        monkeypatch.setattr(sysid, "_scan_rows", no_scan)
+    assert _trace_outcome(read_trace_csv, path) == want
+
+
+_CELL_FORMATS = ("{!r}", "{:.6g}", "{:.4f}", "{:e}")
+_PADS = ("", " ", "\t")
+
+
+@st.composite
+def _trace_csvs(draw):
+    """`t,r,e,u,u_sat,y` text: padded cells in mixed formats, clamped and
+    free commands, blank rows, CRLF or LF line ends, with or without a final
+    newline, and at most one bad row."""
+    ts = draw(st.sampled_from((0.001, 0.01, 0.1)))
+    value = st.floats(-1e6, 1e6)
+    blank = draw(st.sampled_from(("", "   ", ",,,,,", " ,\t, ")))
+    rows = []
+    for k in range(draw(st.integers(0, 16))):
+        u = draw(value)
+        cells = []
+        for v in (k * ts, draw(value), draw(value), u,
+                  draw(st.sampled_from((u, 3.5e5))), draw(value)):
+            fmt = draw(st.sampled_from(_CELL_FORMATS))
+            pads = st.sampled_from(_PADS)
+            cells.append(draw(pads) + fmt.format(v) + draw(pads))
+        rows.append(cells)
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([blank])
+    full = [r for r in rows if len(r) == 6]
+    faults = ("oops", "", "nan", "-inf", "narrow", "wide")
+    fault = draw(st.sampled_from((None,) * 6 + faults)) if full else None
+    if fault is not None:
+        cells = draw(st.sampled_from(full))
+        if fault == "narrow":
+            cells.pop()
+        elif fault == "wide":
+            cells.append("1")
+        else:
+            cells[draw(st.integers(0, 5))] = fault
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    header = draw(st.sampled_from((_HEADER, " t, R ,e,u,U_sat,y ")))
+    text = eol.join([header] + [",".join(r) for r in rows])
+    return text + eol if draw(st.booleans()) else text
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_trace_csvs())
+def test_read_trace_csv_matches_the_reference_on_generated_traces(text, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    assert _trace_outcome(read_trace_csv, path) == _trace_outcome(
+        _reference_read_trace_csv, path
+    )
 
 
 # ---------------------------------------------------------------------------
