@@ -45,6 +45,7 @@ from .kinematics import MountGeometry
 from .lti import TransferFunction
 from .metrics import Requirement
 from .simloop import DisturbanceSpec, Scenario, SignalSpec
+from .sysid import _decode_utf8
 
 __all__ = [
     "ConfigError",
@@ -95,9 +96,11 @@ def _str(value, ctx: str) -> str:
     return value
 
 
-def _parse_json(text: str, name: str):
+def _parse_json(data: bytes, name: str):
+    """The JSON document in ``data``, which must be UTF-8 text; errors are
+    named ``name``."""
     try:
-        return json.loads(text)
+        return json.loads(_decode_utf8(data, name))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name}: invalid JSON: {exc}") from None
 
@@ -107,7 +110,7 @@ def _read_json(path: str | Path, name: str):
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{name}: no such file")
-    return _parse_json(p.read_text(), name)
+    return _parse_json(p.read_bytes(), name)
 
 
 def _named_or_inline(spec, table: dict, ctx: str, kind: str, parse):
@@ -283,7 +286,7 @@ def load_project(path: str | Path | None = None) -> Project:
     """Load a project JSON; ``None`` loads the bundled one."""
     if path is None:
         name = "gemservo/data/project.json"
-        raw = _parse_json((_data_root() / "project.json").read_text(), name)
+        raw = _parse_json((_data_root() / "project.json").read_bytes(), name)
     else:
         name = str(path)
         raw = _read_json(path, name)
@@ -356,7 +359,7 @@ def load_scenario(
                 f"(bundled: {', '.join(bundled_scenario_names())})"
             )
         name = f"bundled:{stem}"
-    raw = _parse_json(p.read_text(), name)
+    raw = _parse_json(p.read_bytes(), name)
 
     plant = _named_or_inline(
         _get(raw, "plant", name), project.plants, f"{name}.plant", "plant",

@@ -4,8 +4,11 @@ and a deterministic PID tuner.
 Both controller step functions implement conditional integration as
 anti-windup: the integral state freezes whenever the unsaturated command sits
 beyond an actuator limit and the pending integral increment would push it
-further. State-feedback gain vectors refer to the phase-variable canonical
-state ordering produced by :func:`gemservo.lti.tf_to_ss`.
+further. Each law is written once, as source text (:func:`_law_source`):
+``pid_step`` and ``sf_step`` run it compiled into a function, and
+:func:`gemservo.simloop.run` inlines it into the loop it compiles.
+State-feedback gain vectors refer to the phase-variable canonical state
+ordering produced by :func:`gemservo.lti.tf_to_ss`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import StateSpace, TransferFunction, poles, system_type, tf_to_ss
+from .lti import (
+    StateSpace,
+    TransferFunction,
+    _compile,
+    _sum_source,
+    poles,
+    system_type,
+    tf_to_ss,
+)
 from .metrics import CONSTANTS, Requirement, analyze_step, check_requirements
 
 __all__ = [
@@ -52,7 +63,19 @@ class ActuatorLimits:
             )
 
     def clamp(self, u: float) -> float:
-        return min(max(u, self.u_min), self.u_max)
+        return _clamp(u, self.u_min, self.u_max)
+
+
+def _clamp_source(u: str) -> str:
+    """The clamp of ``u`` to [u_min, u_max] as an expression. It equals
+    min(max(u, u_min), u_max) for every float, signed zeros and NaN
+    included, and makes no call."""
+    return f"u_max if {u} > u_max else (u_min if {u} < u_min else {u})"
+
+
+_clamp = _compile(
+    f"def clamp(u, u_min, u_max):\n    return {_clamp_source('u')}\n", "clamp"
+)
 
 
 # The drive accepts 0..350 kHz; negative commands are physically meaningless.
@@ -140,34 +163,11 @@ def pid_step(
         raise ValueError(f"error must be finite, got {error}")
     if not (math.isfinite(ts) and ts > 0.0):
         raise ValueError(f"ts must be positive, got {ts}")
-    u_cmd, u_sat, integral, deriv = _pid_law(
-        gains, state.integral, state.deriv, state.prev_error, error, ts
+    u_cmd, u_sat, *new = _law_function("pid", 0)(
+        *_law_gains(gains), gains.u_min, gains.u_max,
+        state.integral, state.deriv, state.prev_error, error, ts,
     )
-    return u_cmd, u_sat, PidState(integral=integral, deriv=deriv, prev_error=error)
-
-
-def _pid_law(
-    gains: PidGains,
-    integral: float,
-    deriv: float,
-    prev_error: float,
-    error: float,
-    ts: float,
-) -> tuple[float, float, float, float]:
-    """:func:`pid_step` on plain floats, inputs unchecked. Returns (u_cmd,
-    u_sat, integral, deriv); the new previous error is ``error``."""
-    if gains.kd == 0.0:
-        deriv = 0.0  # filter bypassed; deriv_filter_n may be unset here
-    else:
-        tf = 1.0 / gains.deriv_filter_n
-        deriv = (tf * deriv + (error - prev_error)) / (tf + ts)
-    i_cand = integral + 0.5 * ts * (error + prev_error)
-    u_cmd = gains.kp * error + gains.ki * i_cand + gains.kd * deriv
-    di = gains.ki * (i_cand - integral)
-    u_min, u_max = gains.u_min, gains.u_max
-    if (u_cmd > u_max and di > 0.0) or (u_cmd < u_min and di < 0.0):
-        i_cand = integral  # freeze: the increment would deepen saturation
-    return u_cmd, min(max(u_cmd, u_min), u_max), i_cand, deriv
+    return u_cmd, u_sat, PidState(*new)
 
 
 def sf_step(
@@ -197,31 +197,80 @@ def sf_step(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("state vector must be finite")
-    return _sf_law(gains, x.tolist(), xi, r, y, ts, limits.u_min, limits.u_max)
+    return _law_function("sf", x.size)(
+        *_law_gains(gains), limits.u_min, limits.u_max, xi, *x.tolist(), r, y, ts
+    )
 
 
-def _sf_law(
-    gains: StateFeedbackGains,
-    x,
-    xi: float,
-    r: float,
-    y: float,
-    ts: float,
-    u_min: float,
-    u_max: float,
-) -> tuple[float, float, float]:
-    """:func:`sf_step` on plain floats, with ``x`` a sequence of floats, inputs
+def _law_source(law: str, n: int) -> tuple[list[str], list[str], list[str], str]:
+    """One sample of the ``"pid"`` law, or of the ``"sf"`` law on n plant
+    states, as source: (gain parameters, state, inputs, statements).
+
+    The statements read the gain parameters, the state, the inputs, ``ts``,
+    ``u_min`` and ``u_max`` as plain-float locals. They leave the command in
+    ``u_cmd``, its clamp in ``u_sat``, and the next state in the state
+    locals. The PID's input is the error; state feedback reads the plant
+    state ``x0`` .. ``x{n-1}``, the reference ``r`` and the output ``y``, and
+    sums k1 . x left to right. This text is the only spelling of either law.
+    """
+    if law == "pid":
+        gains = ["kp", "ki", "kd", "tf"]
+        state, inputs = ["integral", "deriv", "prev_error"], ["error"]
+        body = [
+            "if kd == 0.0:",
+            "    deriv = 0.0  # filter bypassed",
+            "else:",
+            "    deriv = (tf * deriv + (error - prev_error)) / (tf + ts)",
+            "i_cand = integral + 0.5 * ts * (error + prev_error)",
+            "u_cmd = kp * error + ki * i_cand + kd * deriv",
+            "step = ki * (i_cand - integral)",
+            "prev_error = error",
+        ]
+        held, cand = "integral", "i_cand"
+    else:
+        xs = [f"x{j}" for j in range(n)]
+        gains = [f"k1_{j}" for j in range(n)] + ["k2"]
+        state, inputs = ["xi"], xs + ["r", "y"]
+        body = [
+            f"feedback = {_sum_source(gains[:n], xs)}",
+            "xi_cand = xi + ts * (r - y)",
+            "u_cmd = k2 * xi_cand - feedback",
+            "step = k2 * (xi_cand - xi)",
+        ]
+        held, cand = "xi", "xi_cand"
+    body += [
+        "if (u_cmd > u_max and step > 0.0) or (u_cmd < u_min and step < 0.0):",
+        f"    {cand} = {held}  # freeze: the increment would deepen saturation",
+        f"{held} = {cand}",
+        f"u_sat = {_clamp_source('u_cmd')}",
+    ]
+    return gains, state, inputs, "".join(line + "\n" for line in body)
+
+
+def _law_gains(gains: PidGains | StateFeedbackGains) -> list[float]:
+    """The values of :func:`_law_source`'s gain parameters for ``gains``."""
+    if isinstance(gains, PidGains):
+        # the derivative filter's time constant, unread (and deriv_filter_n
+        # maybe unset) when kd is zero
+        tf = 1.0 / gains.deriv_filter_n if gains.kd != 0.0 else 0.0
+        return [gains.kp, gains.ki, gains.kd, tf]
+    return [*gains.k1, gains.k2]
+
+
+@functools.cache
+def _law_function(law: str, n: int):
+    """Compile, once per law and plant order, one sample of
+    :func:`_law_source` into a function of (gains..., u_min, u_max, state...,
+    inputs..., ts) that returns (u_cmd, u_sat, next state...), inputs
     unchecked."""
-    k1 = gains.k1
-    feedback = k1[0] * x[0]
-    for j in range(1, len(k1)):
-        feedback += k1[j] * x[j]
-    xi_cand = xi + ts * (r - y)
-    u_cmd = gains.k2 * xi_cand - feedback
-    dxi = gains.k2 * (xi_cand - xi)
-    if (u_cmd > u_max and dxi > 0.0) or (u_cmd < u_min and dxi < 0.0):
-        xi_cand = xi  # freeze: the increment would deepen saturation
-    return u_cmd, min(max(u_cmd, u_min), u_max), xi_cand
+    gains, state, inputs, body = _law_source(law, n)
+    params = ", ".join(gains + ["u_min", "u_max"] + state + inputs + ["ts"])
+    source = (
+        f"def law({params}):\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+        + f"    return u_cmd, u_sat, {', '.join(state)}\n"
+    )
+    return _compile(source, "law")
 
 
 def _as_strictly_proper_ss(plant: StateSpace | TransferFunction) -> StateSpace:

@@ -23,7 +23,6 @@ __all__ = [
     "SecondOrderCharacter",
     "tf_to_ss",
     "discretize_zoh",
-    "float_stepper",
     "simulate",
     "dc_gain",
     "poles",
@@ -356,52 +355,64 @@ def discretize_zoh(ss: StateSpace, ts: float) -> DiscreteStateSpace:
     return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], ss.C, ss.D, ts)
 
 
-@functools.cache
-def _stepper_factory(n: int):
-    """Compile, once per model order, a factory closing the plain-float update
-    and output of an n-state SISO model over its coefficients.
+def _compile(source: str, name: str):
+    """The function ``name`` defined by ``source``, which holds only
+    identifiers and numbers the calling code built, never input data."""
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace[name]
 
-    Each sum is spelled out term by term, ``a0_0 * x0 + a0_1 * x1 + b0 * u``,
-    which Python evaluates left to right; a generic loop would cost about four
-    times as much per sample.
+
+def _sum_source(coeffs: list[str], terms: list[str]) -> str:
+    """``c0 * t0 + c1 * t1 + ...``, which Python evaluates left to right;
+    ``0.0`` when there are no terms."""
+    return " + ".join(f"{p} * {q}" for p, q in zip(coeffs, terms)) or "0.0"
+
+
+def _plant_source(n: int, u: str) -> tuple[list[str], str, str]:
+    """Source of one sample of an n-state SISO model on plain floats:
+    (coefficient parameters, output expression, update statement).
+
+    The state is the locals ``x0`` .. ``x{n-1}`` and the input the expression
+    ``u``. The parameters are ``a{i}_{j}``, ``b{i}`` and ``c{j}``, in the order
+    of :func:`_plant_coefficients`. The output is C x and the update sets the
+    state to Ad x + Bd u, each sum spelled out term by term,
+    ``a0_0 * x0 + a0_1 * x1 + b0 * u``: a generic loop over the rows would
+    cost about four times as much per sample. The feedthrough D is left to
+    the caller.
     """
     xs = [f"x{j}" for j in range(n)]
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
     b = [f"b{i}" for i in range(n)]
     c = [f"c{j}" for j in range(n)]
-
-    def total(coeffs: list[str], terms: list[str]) -> str:
-        return " + ".join(f"{p} * {q}" for p, q in zip(coeffs, terms)) or "0.0"
-
-    unpack = f"        {', '.join(xs)}, = x\n" if n else ""
-    rows = "".join(f"{total(a[i] + [b[i]], xs + ['u'])}, " for i in range(n))
-    params = ", ".join([name for row in a for name in row] + b + c)
-    source = (
-        f"def factory({params}):\n"
-        f"    def advance(x, u):\n{unpack}        return ({rows})\n"
-        f"    def output(x):\n{unpack}        return {total(c, xs)}\n"
-        "    return advance, output\n"
-    )
-    namespace: dict = {}
-    exec(source, namespace)  # the source holds only the identifiers built above
-    return namespace["factory"]
+    rows = [_sum_source(a[i] + [b[i]], xs + [u]) for i in range(n)]
+    update = f"{', '.join(xs)} = {', '.join(rows)}" if n else "pass"
+    params = [name for row in a for name in row] + b + c
+    return params, _sum_source(c, xs), update
 
 
-def float_stepper(dss: DiscreteStateSpace):
-    """Plain-float ``(advance, output)`` pair of a SISO discrete model.
+def _plant_coefficients(dss: DiscreteStateSpace) -> list[float]:
+    """Ad row by row, then Bd and C, of a SISO model: the floats
+    :func:`_plant_source` takes."""
+    return [*dss.Ad.ravel().tolist(), *dss.Bd[:, 0].tolist(), *dss.C[0].tolist()]
 
-    ``advance(x, u)`` returns the next state Ad x + Bd u and ``output(x)``
-    returns C x, both as Python floats with the state a tuple. Every row is
-    summed left to right, ``((a00 x0 + a01 x1) + b0 u)``, so the arithmetic is
-    fixed Python float arithmetic: it does not depend on the BLAS build, and
-    one sample costs no numpy call. The feedthrough D is left to the caller.
-    """
-    if dss.Bd.shape[1] != 1 or dss.C.shape[0] != 1:
-        raise ValueError("a single-input single-output model is required")
-    factory = _stepper_factory(dss.order)
-    return factory(
-        *dss.Ad.ravel().tolist(), *dss.Bd[:, 0].tolist(), *dss.C[0].tolist()
-    )
+
+@functools.cache
+def _simulate_loop(n: int):
+    """Compile, once per model order, the sample loop of :func:`simulate`:
+    one call runs the whole input through the rows of :func:`_plant_source`,
+    with the coefficients, D and the initial state as arguments."""
+    params, output, update = _plant_source(n, "u")
+    xs = [f"x{j}" for j in range(n)]
+    lines = [
+        f"def loop({', '.join(params + ['d'] + xs)}, uv, yv, xv):",
+        "    for k in range(len(uv)):",
+        "        u = uv[k]",
+        *(f"        xv[{n} * k + {j}] = {x}" for j, x in enumerate(xs)),
+        f"        yv[k] = {output} + d * u",
+        f"        {update}",
+    ]
+    return _compile("\n".join(lines) + "\n", "loop")
 
 
 def simulate(
@@ -413,7 +424,9 @@ def simulate(
 
     Returns ``(y, x)`` where ``y[k]`` is the output at sample k and ``x[k]``
     the state at sample k (before the update). The state trajectory has one
-    row per input sample. The model is stepped by :func:`float_stepper`.
+    row per input sample. The model is stepped in plain floats, every row
+    summed left to right, ``((a00 x0 + a01 x1) + b0 u)``, so the arithmetic
+    does not depend on the BLAS build, and one sample costs no numpy call.
     """
     if dss.Bd.shape[1] != 1 or dss.C.shape[0] != 1:
         raise ValueError("simulate expects a single-input single-output model")
@@ -432,19 +445,14 @@ def simulate(
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got {x0.shape[0]}")
         x = tuple(x0.tolist())
-    advance, output = float_stepper(dss)
-    d = float(dss.D[0, 0])
     N = u.size
     y = np.empty(N)
     xs = np.empty((N, n))
-    uv = memoryview(np.ascontiguousarray(u))
-    yv, xv = memoryview(y), memoryview(xs.reshape(-1))
-    for k in range(N):
-        uk = uv[k]
-        for j, xj in enumerate(x, k * n):
-            xv[j] = xj
-        yv[k] = output(x) + d * uk
-        x = advance(x, uk)
+    _simulate_loop(n)(
+        *_plant_coefficients(dss), float(dss.D[0, 0]), *x,
+        memoryview(np.ascontiguousarray(u)), memoryview(y),
+        memoryview(xs.reshape(-1)),
+    )
     return y, xs
 
 

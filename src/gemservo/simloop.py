@@ -5,9 +5,11 @@ executes once per sample on the sampled output (ideal sampling by default, an
 optional one-sample loop delay for sensitivity studies). Disturbances inject
 either at the plant input (load) or the plant output (measurement offset).
 Simulations are bit-deterministic: same scenario, same trace. The loop's
-arithmetic is fixed Python float arithmetic, every sum taken left to right
-(:func:`gemservo.lti.float_stepper` and the control laws), so the trace does
-not depend on the BLAS build numpy runs on either.
+arithmetic is fixed Python float arithmetic, every sum taken left to right,
+so the trace does not depend on the BLAS build numpy runs on either. Each
+kind of loop is compiled once into one function (:func:`_loop_factory`)
+from the plant rows of :func:`gemservo.lti._plant_source` and the law text of
+:func:`gemservo.controllers._law_source`, so one run is one call.
 """
 
 from __future__ import annotations
@@ -25,16 +27,19 @@ from .controllers import (
     PidGains,
     PidState,
     StateFeedbackGains,
-    _pid_law,
-    _sf_law,
+    _clamp_source,
+    _law_gains,
+    _law_source,
     pid_step,
     sf_step,
 )
 from .lti import (
     DiscreteStateSpace,
     TransferFunction,
+    _compile,
+    _plant_coefficients,
+    _plant_source,
     discretize_zoh,
-    float_stepper,
     tf_to_ss,
 )
 from .metrics import (
@@ -214,6 +219,49 @@ def _sampled_plant(plant: TransferFunction, ts: float) -> DiscreteStateSpace:
     return dss
 
 
+@functools.cache
+def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
+    """Compile, once per (plant order, ``"pid"`` or ``"sf"`` law, disturbance
+    injection, loop delay), the whole sample loop of :func:`run`.
+
+    The body is straight-line float statements over locals: the plant output
+    and update of :func:`gemservo.lti._plant_source` around the law text of
+    :func:`gemservo.controllers._law_source`. The plant coefficients, gains,
+    limits, ts and the divergence limit are arguments, and the signals are
+    memoryviews. The loop returns (samples recorded, diverged).
+    """
+    plant, output, update = _plant_source(n, "u_in")
+    gains, state, _, body = _law_source(law, n)
+    if inject == "output":
+        output += " + dv[k]"
+    u_in = "u_prev" if loop_delay else "u_sat"
+    if inject == "input":
+        u_in += " + dv[k]"
+    xs = [f"x{j}" for j in range(n)]
+    params = ", ".join(plant + gains + ["u_min", "u_max", "ts", "lim"])
+    lines = [
+        f"def loop({params}, rv, dv, uv, usv, yv):",
+        *(f"    {v} = 0.0" for v in xs + state + ["u_prev"]),
+        "    for k in range(len(yv)):",
+        f"        y = {output}",
+        "        yv[k] = y",
+        "        if not -lim <= y <= lim:",
+        "            uv[k] = u_prev",
+        f"            usv[k] = {_clamp_source('u_prev')}",
+        "            return k + 1, True",
+        "        r = rv[k]",
+        *(["        error = r - y"] if law == "pid" else []),
+        *(f"        {line}" for line in body.splitlines()),
+        "        uv[k] = u_cmd",
+        "        usv[k] = u_sat",
+        f"        u_in = {u_in}",
+        f"        {update}",
+        "        u_prev = u_sat",
+        "    return len(yv), False",
+    ]
+    return _compile("\n".join(lines) + "\n", "loop")
+
+
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the scenario and return the full trace."""
     dss = _sampled_plant(scenario.plant, scenario.ts)
@@ -230,54 +278,22 @@ def run(scenario: Scenario) -> SimTrace:
     r = scenario.reference.values(t)
     dist = scenario.disturbance
     d = dist.values(t) if dist is not None else None
-    d_in = d is not None and dist.inject == "input"
-    d_out = d is not None and dist.inject == "output"
-
-    advance, output = float_stepper(dss)
     limits = scenario.effective_limits()
-    u_min, u_max = limits.u_min, limits.u_max
-    if is_pid and (gains.u_min != u_min or gains.u_max != u_max):
-        gains = replace(gains, u_min=u_min, u_max=u_max)
     ts = scenario.ts
-    loop_delay = scenario.loop_delay
 
-    x = (0.0,) * n
-    xi = integral = deriv = e_prev = 0.0
+    loop = _loop_factory(
+        n, "pid" if is_pid else "sf", dist.inject if dist is not None else None,
+        scenario.loop_delay,
+    )
     u_arr = np.empty(N)
     us_arr = np.empty(N)
     y_arr = np.empty(N)
-    rv, uv, usv, yv = (memoryview(a) for a in (r, u_arr, us_arr, y_arr))
-    dv = memoryview(d) if d is not None else None
-    u_prev = 0.0
-    diverged = False
-    end = N
-    for k in range(N):
-        yk = output(x)
-        if d_out:
-            yk += dv[k]
-        yv[k] = yk
-        if not math.isfinite(yk) or abs(yk) > DIVERGENCE_LIMIT:
-            uv[k] = u_prev
-            usv[k] = limits.clamp(u_prev)
-            diverged = True
-            end = k + 1
-            break
-        rk = rv[k]
-        if is_pid:
-            ek = rk - yk
-            u_cmd, u_sat, integral, deriv = _pid_law(
-                gains, integral, deriv, e_prev, ek, ts
-            )
-            e_prev = ek
-        else:
-            u_cmd, u_sat, xi = _sf_law(gains, x, xi, rk, yk, ts, u_min, u_max)
-        uv[k] = u_cmd
-        usv[k] = u_sat
-        u_in = u_prev if loop_delay else u_sat
-        if d_in:
-            u_in += dv[k]
-        x = advance(x, u_in)
-        u_prev = u_sat
+    end, diverged = loop(
+        *_plant_coefficients(dss), *_law_gains(gains),
+        limits.u_min, limits.u_max, ts, DIVERGENCE_LIMIT,
+        memoryview(r), memoryview(d) if d is not None else None,
+        memoryview(u_arr), memoryview(us_arr), memoryview(y_arr),
+    )
 
     t = t[:end]
     r = r[:end]

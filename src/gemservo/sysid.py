@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def _read_columns(path: Path, names: tuple[str, ...]) -> np.ndarray:
     array of finite numbers: the one reader of drive logs and loop traces.
     ``np.loadtxt`` reads a clean file, :func:`_scan_rows` any other."""
     n = len(names)
-    with open(path, newline="") as fh:
+    with io.StringIO(_decode_utf8(path.read_bytes(), path), newline="") as fh:
         line = fh.readline()
         if not line:
             raise ValueError(f"{path}: file is empty")
@@ -162,6 +163,18 @@ def _read_columns(path: Path, names: tuple[str, ...]) -> np.ndarray:
             fh.seek(start)
             data = _scan_rows(path, csv.reader(fh), names)
     return data
+
+
+def _decode_utf8(data: bytes, where) -> str:
+    """``data`` decoded as UTF-8 text. A byte sequence that is not UTF-8 is
+    refused with a ValueError naming ``where`` and the line it is on."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{where}:{line}: not UTF-8 text: {exc.reason} 0x{data[exc.start]:02x}"
+        ) from None
 
 
 def _scan_rows(path: Path, rows, names: tuple[str, ...]) -> np.ndarray:

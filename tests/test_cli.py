@@ -492,6 +492,33 @@ def test_metrics_refuses_a_trace_with_a_non_finite_cell(tmp_path, capsys, row,
     )
 
 
+@pytest.mark.parametrize(
+    "argv, name, data, problem",
+    [
+        (["metrics"], "trace.csv",
+         b"t,r,e,u,u_sat,y\n0,1,1,0,0,0\n0.01,1,\xff,0,0,0\n",
+         "3: not UTF-8 text: invalid start byte 0xff"),
+        (["identify"], "log.csv", b"t,u,y\n0,250000,0\n0.004,2\xe9,0.1\n",
+         "3: not UTF-8 text: invalid continuation byte 0xe9"),
+        (["workspace", "--geometry"], "geom.json",
+         b'{"l1": 1.5,\n "l2": "\xff", "alpha_deg": 10.0}',
+         "2: not UTF-8 text: invalid start byte 0xff"),
+        (["simulate"], "scenario.json",
+         b'{"plant": "ascension_velocity"}\n\xc3',
+         "2: not UTF-8 text: unexpected end of data 0xc3"),
+    ],
+    ids=["metrics", "identify", "workspace-geometry", "simulate"],
+)
+def test_a_file_that_is_not_utf8_exits_two_naming_the_file_and_line(
+        tmp_path, capsys, argv, name, data, problem):
+    # a UnicodeDecodeError used to reach the user with no file named
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{problem}\n"
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 

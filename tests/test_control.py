@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemservo import simloop
 from gemservo.config import load_project
@@ -192,6 +193,59 @@ def test_anti_windup_accumulator_bounded_over_1e5_steps():
         _, _, state = pid_step(gains, state, 1.0, 0.01)
         assert abs(state.integral) < bound
     assert state.integral <= 0.02  # froze almost immediately
+
+
+_GAIN = st.floats(-1e5, 1e5)
+_VALUE = st.floats(-1e3, 1e3)
+_TS = st.floats(1e-3, 0.1)
+# the drive's one-sided range and a symmetric one
+_LIMITS = st.builds(
+    lambda hi, one_sided: ActuatorLimits(0.0 if one_sided else -hi, hi),
+    st.floats(1e-3, 1e6), st.booleans(),
+)
+
+
+def _assert_no_windup(u_cmd, u_sat, limits, pull, integrated):
+    """``pull`` is how far the integral moved the command this sample. Beyond
+    a limit it must not push further out; within the limits the integral
+    takes its full step."""
+    if u_cmd > limits.u_max:
+        assert pull <= 0.0
+    elif u_cmd < limits.u_min:
+        assert pull >= 0.0
+    else:
+        assert integrated
+    assert u_sat == min(max(u_cmd, limits.u_min), limits.u_max)
+
+
+@settings(deadline=None, max_examples=300)
+@given(kp=_GAIN, ki=_GAIN, kd=st.floats(0.0, 1e3), n_filter=st.floats(1.0, 1e3),
+       limits=_LIMITS, integral=_VALUE, deriv=_VALUE, prev_error=_VALUE,
+       error=_VALUE, ts=_TS)
+def test_pid_integral_never_winds_further_into_a_limit(
+        kp, ki, kd, n_filter, limits, integral, deriv, prev_error, error, ts):
+    gains = PidGains(kp, ki, kd, n_filter, limits.u_min, limits.u_max)
+    state = PidState(integral, deriv, prev_error)
+    u_cmd, u_sat, new = pid_step(gains, state, error, ts)
+    _assert_no_windup(
+        u_cmd, u_sat, limits, ki * (new.integral - integral),
+        new.integral == integral + 0.5 * ts * (error + prev_error),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(loop=st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.lists(_GAIN, min_size=n, max_size=n),
+           st.lists(_VALUE, min_size=n, max_size=n))),
+       k2=_GAIN, limits=_LIMITS, xi=_VALUE, r=_VALUE, y=_VALUE, ts=_TS)
+def test_sf_integral_never_winds_further_into_a_limit(loop, k2, limits, xi, r, y,
+                                                      ts):
+    k1, x = loop
+    gains = StateFeedbackGains(tuple(k1), k2)
+    u_cmd, u_sat, xi_new = sf_step(gains, x, xi, r, y, ts, limits)
+    _assert_no_windup(
+        u_cmd, u_sat, limits, k2 * (xi_new - xi), xi_new == xi + ts * (r - y)
+    )
 
 
 # ---------------------------------------------------------------------------

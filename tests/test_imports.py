@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, none
-of them loads scipy, only the fitter imports scipy at all, and each kind of
-input file has one reader."""
+of them loads scipy, only the fitter imports scipy at all, each kind of
+input file has one reader, and each control law is spelled once."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gemservo"
@@ -72,6 +73,25 @@ def _reader_calls(path: Path) -> list[str]:
             if call in wanted:
                 hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
     return [hit for _, hit in sorted(hits)]
+
+
+# The anti-windup test of a control law, in any spelling of its names:
+# (u > u_max and step > 0.0) or (u < u_min and step < 0.0)
+# The parentheses are optional, since ``and`` binds tighter than ``or``.
+_WINDUP = re.compile(
+    r"[\w.]+\s*>\s*[\w.]+\s+and\s+[\w.]+\s*>\s*0(\.0*)?\s*\)?\s*or\s*"
+    r"\(?\s*[\w.]+\s*<\s*[\w.]+\s+and\s+[\w.]+\s*<\s*0(\.0*)?"
+)
+
+
+def _windup_conditions(path: Path) -> list[str]:
+    """Lines of a module, code or string, that spell the anti-windup test of
+    a control law, as ``file:line``."""
+    text = path.read_text()
+    return [
+        f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+        for m in _WINDUP.finditer(text)
+    ]
 
 
 def test_package_has_no_unused_module_level_imports():
@@ -176,3 +196,29 @@ def test_reader_call_detector_flags_and_exempts(tmp_path):
         "mod.py:5: np.loadtxt",
         "mod.py:6: json.loads",
     ]
+
+
+def test_each_control_law_is_spelled_once():
+    # the PID and state-feedback laws share one anti-windup text in
+    # controllers._law_source; pid_step, sf_step and the loop simloop
+    # compiles all run it, so no module may hand-write a copy of a law
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    hits = [hit for path in modules for hit in _windup_conditions(path)]
+    assert [hit.split(":")[0] for hit in hits] == ["controllers.py"]
+
+
+def test_windup_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def law(u_cmd, di, dxi, limits):\n"
+        "    if (u_cmd > limits.u_max and di > 0.0) or (u_cmd < limits.u_min\n"
+        "                                             and di < 0.0):\n"
+        "        pass\n"
+        "    if u_cmd > limits.u_max and dxi > 0 or u_cmd < limits.u_min:\n"
+        "        pass\n"
+        "    text = '(u > hi and s > 0.0) or (u < lo and s < 0.0)'\n"
+        "    frozen = u > hi and s > 0 or u < lo and s < 0\n"
+        "    return hi if u_cmd > hi else (lo if u_cmd < lo else u_cmd)\n"
+    )
+    assert _windup_conditions(src) == ["mod.py:2", "mod.py:7", "mod.py:8"]

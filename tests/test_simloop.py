@@ -831,16 +831,21 @@ def _assert_trace_is_reference(scen):
 
 
 _OPEN = ActuatorLimits(-math.inf, math.inf)
+FIRST_ORDER = TransferFunction((1.0,), (1.0, 1.0))
+# a first-order plant and gains for it, beside the bundled second-order loops
+_LOOPS = {
+    **{(name, kind): (plant, PROJECT.controllers[f"{name}_{kind}"])
+       for name, plant in PROJECT.plants.items() for kind in ("pid", "sf")},
+    ("first_order", "pid"): (FIRST_ORDER, PidGains(5.0, 20.0, 0.01)),
+    ("first_order", "sf"): (FIRST_ORDER, StateFeedbackGains((3.0,), 12.0)),
+}
 
 
 @st.composite
 def _loop_scenarios(draw):
-    name = draw(st.sampled_from(sorted(PROJECT.plants)))
-    plant = PROJECT.plants[name]
-    kind = draw(st.sampled_from(["pid", "sf"]))
-    base = PROJECT.controllers[f"{name}_{kind}"]
+    plant, base = _LOOPS[draw(st.sampled_from(sorted(_LOOPS)))]
     scale = draw(st.sampled_from([1.0, 0.3, 3.0, 30.0, -1.0]))
-    if kind == "pid":
+    if isinstance(base, PidGains):
         controller = PidGains(base.kp * scale, base.ki * scale, base.kd * scale)
     else:
         controller = StateFeedbackGains(
@@ -884,3 +889,10 @@ def test_run_matches_reference_loop_on_diverging_and_saturated_runs():
                           disturbance=DisturbanceSpec(amplitude=-5e4, start=1.0))
     trace = _assert_trace_is_reference(held)
     assert 0.0 < trace.saturation_fraction < 1.0
+    # commands that overflow: the guard meets an infinite, then a NaN output
+    for gains, last in ((PidGains(1e308, 0.0, 0.0), "inf"),
+                        (PidGains(1e308, 0.0, -1e308), "nan")):
+        runaway = _step_scenario(FIRST_ORDER, gains, 10.0, 1.0, limits=_OPEN)
+        trace = _assert_trace_is_reference(runaway)
+        assert trace.diverged and len(trace) == 2
+        assert str(trace.y[-1]) == last
