@@ -98,10 +98,12 @@ def _str(value, ctx: str) -> str:
 
 def _parse_json(data: bytes, name: str):
     """The JSON document in ``data``, which must be UTF-8 text; errors are
-    named ``name``."""
+    named ``name``. Every ValueError of the parser is caught, not only
+    JSONDecodeError: a number of more than 4300 digits raises a plain one."""
+    text = _decode_utf8(data, name)
     try:
-        return json.loads(_decode_utf8(data, name))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise ConfigError(f"{name}: invalid JSON: {exc}") from None
 
 

@@ -117,9 +117,12 @@ def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMet
     """Extract tss, %OS and ess from a step-response trace.
 
     The settling time is the earliest instant after which |y - r_final| stays
-    within band_pct percent of |r_final| for the remainder of the trace.
-    Overshoot is the peak excursion past the final reference, normalized by
-    the commanded step size. A trace flagged as diverged never settles.
+    within band_pct percent of |r_final| for the remainder of the trace. A
+    trace settles only if it stays in the band over at least the tail window
+    that ``y_final`` averages (the last 5% of the samples): one sample inside
+    the band at the end of a limit cycle is not settling. Overshoot is the
+    peak excursion past the final reference, normalized by the commanded
+    step size. A trace flagged as diverged never settles.
 
     ``trace`` needs attributes ``t``, ``r``, ``y`` (and optionally
     ``diverged``), so simulation traces and hand-built records both work.
@@ -151,7 +154,7 @@ def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMet
         settled, tss = True, 0.0
     else:
         last_out = int(np.nonzero(outside)[0][-1])
-        if last_out == y.size - 1:
+        if last_out >= y.size - n_tail:
             settled, tss = False, None
         else:
             settled, tss = True, float(t[last_out + 1])
@@ -161,7 +164,11 @@ def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMet
 def analyze_disturbance(
     trace, onset: float, band_pct: float = CONSTANTS.default_band_pct
 ) -> DisturbanceMetrics:
-    """Recovery metrics on the trace segment from the disturbance onset on."""
+    """Recovery metrics on the trace segment from the disturbance onset on.
+
+    The trace recovers only if it stays in the band over at least the tail
+    window that ``final_error`` averages (the last 5% of the segment).
+    """
     if not (math.isfinite(band_pct) and band_pct > 0.0):
         raise ValueError(f"band_pct must be positive, got {band_pct}")
     t, r, y = _trace_arrays(trace)
@@ -180,15 +187,15 @@ def analyze_disturbance(
     peak_pct = 100.0 * float(np.max(dev)) / scale
     band = band_pct / 100.0 * scale
     outside = dev > band
+    n_tail = max(1, int(round(0.05 * seg_y.size)))
     diverged = bool(getattr(trace, "diverged", False))
-    if diverged or outside[-1]:
+    if diverged or outside[-n_tail:].any():
         recovered, recovery = False, None
     elif not outside.any():
         recovered, recovery = True, 0.0
     else:
         last_out = int(np.nonzero(outside)[0][-1])
         recovered, recovery = True, float(seg_t[last_out + 1] - onset)
-    n_tail = max(1, int(round(0.05 * seg_y.size)))
     final_error = abs(r_final - float(np.mean(seg_y[-n_tail:])))
     return DisturbanceMetrics(
         peak_dev_pct=peak_pct,

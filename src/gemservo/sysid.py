@@ -3,13 +3,16 @@
 Fits b0 / (s^2 + a1 s + a0) to sampled input/output records by minimizing the
 simulation error (the fitted model is driven open-loop by the recorded input;
 no measured outputs are fed back into the predictor). Each candidate is
-discretized with a zero-order hold and its 2-state model (Ad, Bd, C) is run
-over the input as one banded triangular solve: the recursion
-x_{k+1} = Ad x_k + Bd u_k, written for all samples at once, solved by
-forward substitution in LAPACK ``dtbtrs``. The optimizer is a damped
-Gauss-Newton (Levenberg-Marquardt) iteration over (b0, a1, a0) with exact
-Jacobians (the output sensitivities, filtered from the same model) and a
-deterministic multistart.
+discretized with a zero-order hold in closed form: for the 2-state companion
+block, e^{At} = e^{sigma t} [C(mu^2 t^2) I + t S(mu^2 t^2) (A - sigma I)] with
+sigma = -a1/2 and mu^2 = sigma^2 - a0, C and S entire, so real, repeated and
+complex poles take one path. The recursion x_{k+1} = Ad x_k + Bd u_k is run
+over the input as a blocked convolution: one matrix product with the
+Toeplitz matrix of the model's impulse response within blocks of about
+sqrt(N) samples, and the block-boundary states from the same closed form. The
+optimizer is a damped Gauss-Newton (Levenberg-Marquardt) iteration over
+(b0, a1, a0) with exact Jacobians (the output sensitivities, filtered from
+the same model) and a deterministic multistart. Fitting needs numpy only.
 """
 
 from __future__ import annotations
@@ -50,23 +53,6 @@ LOW_INPUT_THRESHOLD = 50_000.0
 
 _REL_COST_TOL = 1e-10
 _REL_STEP_TOL = 1e-10
-
-
-@functools.cache
-def _scipy_linalg():
-    """``(expm, dtbtrs)`` from ``scipy.linalg``, imported on the first call.
-
-    Importing ``scipy.linalg`` takes about a fifth of a second, longer than a
-    warm ``identify``; only the fitter needs it, so it loads on the first fit
-    and a call after that costs a cache lookup, not an import statement.
-    A fit makes hundreds of exponentials, and scipy's is several times faster
-    per call than ``lti._expm``; a replay or a tuner pass makes four, so
-    ``lti.discretize_zoh`` keeps its own and loads no scipy.
-    """
-    from scipy.linalg import expm
-    from scipy.linalg.lapack import dtbtrs
-
-    return expm, dtbtrs
 
 
 @dataclass(frozen=True)
@@ -267,6 +253,225 @@ def _zoh_block(a1: float, a0: float, ts: float) -> np.ndarray:
     return np.array([[0.0, 1.0, 0.0], [-a0, -a1, 1.0], [0.0, 0.0, 0.0]]) * ts
 
 
+# The sampled model in closed form. In the phase-variable form
+# A = [[0, 1], [-a0, -a1]], B = [0, 1]^T. With sigma = -a1/2 and
+# mu2 = sigma^2 - a0, (A - sigma I)^2 = mu2 I, so
+#     e^{At} = c(t) I + q(t) (A - sigma I),
+#     c = e^{sigma t} C(mu2 t^2),   q = t e^{sigma t} S(mu2 t^2),
+# where C(z) = cosh(sqrt z) and S(z) = sinh(sqrt z)/sqrt z are entire in z:
+# real (mu2 > 0), repeated (mu2 = 0) and complex (mu2 < 0) poles are one
+# function. Since A B = [1, -a1]^T, Bd = int_0^t e^{As} B ds has bd1 = q(t),
+# and bd0 is the step response of 1/(s^2 + a1 s + a0) (:func:`_hold_integral`).
+# The a1 and a0 derivatives need one more entire function,
+#     r = t^3 e^{sigma t} T(mu2 t^2),   T(z) = (C(z) - S(z)) / z,
+# since dC/dz = S/2 and dS/dz = T/2.
+
+# Taylor coefficients, highest power first, of T(z) = sum (2k+2)/(2k+3)! z^k:
+# ten terms reach rounding for |z| <= 1.
+_T_TAYLOR = tuple((2 * k + 2) / math.factorial(2 * k + 3) for k in range(9, -1, -1))
+
+
+# The series of :func:`_hold_integral`, for poles within 1 of 0: terms
+# h_n / (n+2)! with |h_n| <= n + 1, and H_n / (n+4)! with |H_n| <= C(n+3, 3),
+# are below 2^-60 from n = 19 on.
+_E_TAYLOR = tuple(1.0 / math.factorial(n + 2) for n in range(19))
+_F_TAYLOR = tuple(1.0 / math.factorial(n + 4) for n in range(19))
+
+
+def _exp_cq(sigma: float, mu2: float, t, lib=math):
+    """(c, q) of e^{At} = c I + q (A - sigma I) at time ``t``: a float with
+    ``lib=math``, an array of times with ``lib=np``.
+
+    With real poles sigma +- mu, e^{sigma t} cosh and sinh are written as
+    sums of e^{(sigma +- mu) t}, taken as e^{(sigma + mu) t} (1 + d) with
+    d = expm1(-2 mu t): a finite model never overflows on the way, and q keeps
+    its relative accuracy as mu t -> 0, where the difference would cancel.
+    With complex poles cos and sin do the same. For sigma < 0 the larger pole
+    sigma + mu is computed as a0 / (sigma - mu), which does not cancel.
+    """
+    if mu2 > 0.0:
+        mu = math.sqrt(mu2)
+        top = sigma + mu if sigma >= 0.0 else (sigma * sigma - mu2) / (sigma - mu)
+        e = lib.exp(top * t)
+        ed = e * lib.expm1(-2.0 * mu * t)
+        return e + 0.5 * ed, ed * (-0.5 / mu)
+    e = lib.exp(sigma * t)
+    if mu2 < 0.0:
+        nu = math.sqrt(-mu2)
+        return e * lib.cos(nu * t), e * lib.sin(nu * t) * (1.0 / nu)
+    return e, e * t
+
+
+def _exp_r(sigma: float, mu2: float, t: float, c: float, q: float) -> float:
+    """r = t^3 e^{sigma t} T(mu2 t^2), given (c, q) at t: a Taylor series
+    for |mu2 t^2| <= 1, where c t - q would cancel, else (c t - q) / mu2."""
+    z = mu2 * t * t
+    if abs(z) > 1.0:
+        return (c * t - q) / mu2
+    acc = 0.0
+    for k in _T_TAYLOR:
+        acc = acc * z + k
+    return t * t * t * math.exp(sigma * t) * acc
+
+
+def _hold_integral(sigma: float, mu2: float, a0: float, ts: float,
+                   with_a0: bool = False):
+    """bd0 = int_0^ts q(s) ds, the step response of 1/(s^2 + a1 s + a0) at
+    ts, and with ``with_a0`` its a0 derivative (else None).
+
+    bd0 = ts^2 e[0, x+, x-], the divided difference of exp at 0 and the
+    scaled poles x+- = (sigma +- mu) ts, and d bd0/d a0 = -ts^4 e[0, x+, x+,
+    x-, x-]. Both are power series in x+ + x- and x+ x-: the sums of the
+    complete symmetric polynomials h_n of the poles, which a three-term
+    recursion gives. That holds for real, repeated and complex poles and for
+    a0 <= 0 alike. Beyond |x+-| <= 1 the series is taken at ts / 2^j and
+    doubled back j times: Bd(2t) = (I + Ad(t)) Bd(t), differentiated in a0.
+    """
+    rho = (abs(sigma) + math.sqrt(abs(mu2))) * ts  # >= |x+-|
+    j = max(math.frexp(rho)[1], 0) if rho > 1.0 else 0
+    t = math.ldexp(ts, -j)
+    s1 = 2.0 * sigma * t  # x+ + x-
+    s2 = a0 * t * t  # x+ x-
+    e = 0.0
+    h, h_prev = 1.0, 0.0
+    for f in _E_TAYLOR:
+        e += f * h
+        h, h_prev = s1 * h - s2 * h_prev, h
+    bd0 = t * t * e
+    if not with_a0:
+        for _ in range(j):
+            c, q = _exp_cq(sigma, mu2, t)
+            bd0 = (1.0 + c - sigma * q) * bd0 + q * q
+            t += t
+        return bd0, None
+    # the h_n of (x+, x+, x-, x-) are the coefficients of
+    # 1 / (1 - s1 z + s2 z^2)^2
+    k1, k2, k3, k4 = 2.0 * s1, -(s1 * s1 + 2.0 * s2), 2.0 * s1 * s2, -s2 * s2
+    f_sum = 0.0
+    h1, h2, h3, h4 = 1.0, 0.0, 0.0, 0.0
+    for f in _F_TAYLOR:
+        f_sum += f * h1
+        h1, h2, h3, h4 = k1 * h1 + k2 * h2 + k3 * h3 + k4 * h4, h1, h2, h3
+    dbd0 = -(t * t) * (t * t) * f_sum
+    for _ in range(j):
+        c, q = _exp_cq(sigma, mu2, t)
+        r = _exp_r(sigma, mu2, t, c, q)
+        a11 = 1.0 + c - sigma * q
+        dbd0 = 0.5 * (sigma * r - t * q) * bd0 + a11 * dbd0 - q * r
+        bd0 = a11 * bd0 + q * q
+        t += t
+    return bd0, dbd0
+
+
+def _zoh_rows(a1: float, a0: float, ts: float):
+    """The top rows (Ad | Bd) of exp(``_zoh_block(a1, a0, ts)``) and their
+    a1 and a0 derivatives, each as (a00, a01, bd0, a10, a11, bd1): the blocks
+    the Van Loan exponential of the 9x9 block [[M, dM/da1, dM/da0], ...]
+    holds, in closed form.
+
+    From e^{At} = c I + q (A - sigma I), with dc/dsigma = t c,
+    dc/dmu2 = t q / 2, dq/dsigma = t q, dq/dmu2 = r / 2, dsigma/da1 = -1/2,
+    dmu2/da1 = -sigma and dmu2/da0 = -1; the a1 derivative of a00 and of
+    a11 use q - t c = -mu2 r to avoid cancelling. d bd0/d a1 = d q/d a0,
+    since both are the impulse response of -1/(s^2 + a1 s + a0)^2.
+    """
+    sigma = -0.5 * a1
+    mu2 = sigma * sigma - a0
+    c, q = _exp_cq(sigma, mu2, ts)
+    r = _exp_r(sigma, mu2, ts, c, q)
+    bd0, dbd0 = _hold_integral(sigma, mu2, a0, ts, with_a0=True)
+    a11 = c + sigma * q
+    dq = -0.5 * (ts * q + sigma * r)  # d q / d a1 = d a11 / d a0
+    return (
+        (c - sigma * q, q, bd0, -a0 * q, a11, q),
+        (0.5 * a0 * r, dq, -0.5 * r, -a0 * dq, -ts * a11 - 0.5 * a0 * r, dq),
+        (0.5 * (sigma * r - ts * q), -0.5 * r, dbd0, 0.5 * a0 * r - q, dq,
+         -0.5 * r),
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _block_plan(n: int):
+    """How :func:`_lsim` cuts ``n`` samples: the block length m = isqrt(n),
+    the block count nb, the time steps (in samples) at which it evaluates
+    (c, q), and the flat indices that gather its two matrices from its table.
+
+    The table has one row per step and the columns (h, Ad^k bd, c_out Ad^k,
+    c_out Ad^k (A - sigma I), c, q, 0). Steps 0..m give the Toeplitz matrix
+    T[j, i] = h_{i-j} and the input-to-boundary rows G[j] = Ad^{m-1-j} bd,
+    gathered as [T | G]; steps m d, d < nb - 1, give the boundary matrix,
+    rows 2b and 2b + 1 of which hold c and q at (b - 1 - l) m ts in column l
+    < b, so that it maps the block inputs W_l to the states at block b.
+    """
+    m = max(1, math.isqrt(n))
+    nb = max(1, -(-n // m))
+    steps = np.concatenate((np.arange(m + 1.0), m * np.arange(max(nb - 1, 1.0))))
+    width = 10
+    zero = 9  # column 9 of row 0 holds 0.0
+    j = np.arange(m)[:, None]
+    toeplitz = np.where(np.arange(m) >= j, width * (np.arange(m) - j), zero)
+    gains = width * (m - 1 - j) + np.array([1, 2])
+    b = np.arange(nb)[:, None]
+    lag = width * (m + b - np.arange(nb))  # row m + 1 + (b - 1 - l)
+    below = np.arange(nb) < b
+    boundary = np.stack(
+        (np.where(below, lag + 7, zero), np.where(below, lag + 8, zero)), axis=1
+    )
+    index = np.concatenate(
+        (np.concatenate((toeplitz, gains), axis=1).ravel(), boundary.ravel())
+    )
+    for arr in (steps, index):
+        arr.setflags(write=False)
+    return m, nb, steps, index
+
+
+def _lsim(sigma: float, mu2: float, a0: float, ts: float, bd, c_out, signals,
+          lead: int = 0) -> np.ndarray:
+    """The response y_i = sum_{j <= i} c_out Ad^{i-j} bd v_j of the sampled
+    2-state model Ad = e^{A ts} to each signal v of ``signals``, as the rows
+    of one array: row[lead + i] is y_i and the first ``lead`` entries are 0.
+
+    The samples are cut into nb blocks of m = isqrt(n). Within a block the
+    response is one matrix product with the lower-triangular Toeplitz matrix
+    of h_k = c_out Ad^k bd, k < m. A block's start state X_b = sum_{l < b}
+    Ad^{m(b-1-l)} W_l sums the inputs W_l = sum_j Ad^{m-1-j} bd v_{lm+j} of
+    the blocks before it; with Ad^k = c_k I + q_k (A - sigma I), that is one
+    product with the Toeplitz matrices of c and q at multiples of m ts, and
+    the states reach the outputs through one (nb x 4) @ (4 x m) product.
+    Every power of Ad is the closed form :func:`_exp_cq` at k ts, in one
+    vectorized call: no power loop and no recursion over samples or blocks.
+    """
+    rows = len(signals)
+    n = signals[0].size + lead
+    m, nb, steps, index = _block_plan(n)
+    c, q = _exp_cq(sigma, mu2, steps * ts, np)
+    bd0, bd1 = bd
+    c0, c1 = c_out
+    # (A - sigma I) bd and c_out (A - sigma I)
+    bn0, bn1 = bd1 - sigma * bd0, sigma * bd1 - a0 * bd0
+    cn0, cn1 = -sigma * c0 - a0 * c1, c0 + sigma * c1
+    coef = np.array((
+        (c0 * bd0 + c1 * bd1, bd0, bd1, c0, c1, cn0, cn1, 1.0, 0.0, 0.0),
+        (c0 * bn0 + c1 * bn1, bn0, bn1, cn0, cn1, mu2 * c0, mu2 * c1, 0.0, 1.0,
+         0.0),
+    ))
+    table = np.concatenate((c, q)).reshape(2, -1).T @ coef
+    gathered = table.take(index)
+    tg = gathered[:m * (m + 2)].reshape(m, m + 2)
+    boundary = gathered[m * (m + 2):].reshape(2 * nb, nb)
+    padded = np.zeros((rows, nb * m))
+    for row, v in zip(padded, signals):
+        row[lead:n] = v
+    blocks = padded.reshape(rows * nb, m)
+    y = blocks @ tg[:, :m]
+    inputs = blocks @ tg[:, m:]
+    # per signal, rows 2b and 2b + 1: the c and q parts of the state X_b
+    states = boundary @ inputs.reshape(rows, nb, 2)
+    # c_out Ad^{i+1} X_b = c_out (c_{i+1} I + q_{i+1} (A - sigma I)) X_b
+    y += states.reshape(rows * nb, 4) @ table[1:m + 1, 3:7].T
+    return y.reshape(rows, nb * m)
+
+
 def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
     """Residual and squared error of b0/(s^2 + a1 s + a0) driven by u.
 
@@ -275,30 +480,19 @@ def _cost(theta: np.ndarray, u: np.ndarray, y: np.ndarray, ts: float):
     b0, a1, a0 = (float(v) for v in theta)
     if not (math.isfinite(b0) and math.isfinite(a1) and math.isfinite(a0)):
         return None, math.inf
-    expm, dtbtrs = _scipy_linalg()
+    sigma = -0.5 * a1
+    mu2 = sigma * sigma - a0
     # wildly unstable candidates overflow; the nonfinite result is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = expm(_zoh_block(a1, a0, ts))
-        if not np.all(np.isfinite(phi)):
+        try:
+            _, q = _exp_cq(sigma, mu2, ts)
+            bd0, _ = _hold_integral(sigma, mu2, a0, ts)
+        except OverflowError:
             return None, math.inf
-        (a00, a01, bd0), (a10, a11, bd1) = phi[:2].tolist()
-        # The states x_1 .. x_{n-1} (x_0 = 0), interleaved, solve
-        # x_{k+1} - Ad x_k = Bd u_k for all k at once: a unit lower-triangular
-        # system of bandwidth 3, which forward substitution solves in place.
-        # In LAPACK's lower band storage column j holds A[j:j + 4, j]; each
-        # row of `band` is the two columns of one sample, so the band is
-        # Fortran-ordered and f2py passes it without a copy.
-        n = u.size
-        band = np.empty((n - 1, 8))
-        band[:] = (1.0, 0.0, -a00, -a10, 1.0, -a01, -a11, 0.0)
-        rhs = np.empty((n - 1, 2))
-        np.multiply(u[:-1], bd0, out=rhs[:, 0])
-        np.multiply(u[:-1], bd1, out=rhs[:, 1])
-        x, _ = dtbtrs(band.reshape(-1, 4).T, rhs.reshape(-1, 1), uplo="L",
-                      diag="U", overwrite_b=1)
-        r = np.empty(n)
+        r = np.empty(u.size)
         r[0] = 0.0
-        np.multiply(x[::2, 0], b0, out=r[1:])  # y_hat = b0 x1
+        # x_0 = 0 and y_hat = b0 x1: y_hat_{k+1} = sum_{j <= k} h_{k-j} u_j
+        r[1:] = _lsim(sigma, mu2, a0, ts, (bd0, q), (b0, 0.0), (u,))[0, :u.size - 1]
         # reject diverging outputs well before their squares overflow
         if not -1e120 < r.min() <= r.max() < 1e120:
             return None, math.inf
@@ -313,22 +507,18 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
     """Exact sensitivities d y_hat / d(b0, a1, a0) of the model output y_hat.
 
     y_hat = N(z)/D(z) u, with N and D read from the sampled model exp(M).
-    The derivatives of exp(M) along a1 and a0 are the upper blocks of one
-    block-triangular exponential (Van Loan, 1978), and each column is
-    (dN u - dD y_hat) / D: lag taps applied to u/D and y_hat/D. Returns None
-    when a column is not finite.
+    The derivatives of exp(M) along a1 and a0 are the closed-form blocks of
+    :func:`_zoh_rows`, and each column is (dN u - dD y_hat) / D: lag taps
+    applied to u/D and y_hat/D. Returns None when a column is not finite.
     """
     b0, a1, a0 = (float(v) for v in theta)
-    expm, dtbtrs = _scipy_linalg()
-    m = _zoh_block(a1, a0, ts)
-    big = np.zeros((9, 9))
-    for k in range(0, 9, 3):
-        big[k:k + 3, k:k + 3] = m
-    big[1, 4] = big[1, 6] = -ts  # dM/da1 and dM/da0
+    sigma = -0.5 * a1
+    mu2 = sigma * sigma - a0
     with np.errstate(over="ignore", invalid="ignore"):
-        top = expm(big)[:2].tolist()
-        # exp(M), then its a1 and a0 derivatives: (a00, a01, bd0, a10, a11, bd1)
-        blocks = [top[0][k:k + 3] + top[1][k:k + 3] for k in (0, 3, 6)]
+        try:
+            blocks = _zoh_rows(a1, a0, ts)
+        except OverflowError:
+            return None
         a00, a01, bd0, a10, a11, bd1 = blocks[0]
         # per column, the lag-1 and lag-2 taps on u/D, then on y_hat/D
         taps = [(bd0, a01 * bd1 - a11 * bd0, 0.0, 0.0)]
@@ -339,21 +529,19 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
                 da00 + da11,
                 a01 * da10 + da01 * a10 - a00 * da11 - da00 * a11,
             ))
-        # u/D and y_hat/D: D(z) = 1 - (a00 + a11) z^-1 + det(Ad) z^-2 as a
-        # unit lower-triangular band of bandwidth 2, two right-hand sides
-        band = np.empty((u.size, 3))
-        band[:] = (1.0, -(a00 + a11), a00 * a11 - a01 * a10)
-        w, _ = dtbtrs(band.T, np.array((u, y_hat)).T, uplo="L", diag="U",
-                      overwrite_b=1)
-        lagged = np.zeros((4, u.size))
-        lagged[0, 1:] = w[:-1, 0]
-        lagged[1, 2:] = w[:-2, 0]
-        lagged[2, 1:] = w[:-1, 1]
-        lagged[3, 2:] = w[:-2, 1]
-        J = (np.array(taps) @ lagged).T
-    if not np.all(np.isfinite(J)):
+        # 1/D(z), D = 1 - 2c z^-1 + e^{2 sigma ts} z^-2, has the impulse
+        # response q((k+1) ts) / q(ts) = c_k + (c(ts) / q(ts)) q_k, which
+        # the model's own Ad gives with bd = e2 and c_out = (c/q - sigma, 1)
+        if a01 == 0.0:
+            return None
+        n = u.size
+        w = _lsim(sigma, mu2, a0, ts, (0.0, 1.0),
+                  (0.5 * (a00 + a11) / a01 - sigma, 1.0), (u, y_hat), lead=2)
+        lagged = np.array((w[0, 1:n + 1], w[0, :n], w[1, 1:n + 1], w[1, :n]))
+        J = np.array(taps) @ lagged
+    if not np.isfinite(J).all():
         return None
-    return J
+    return J.T
 
 
 def _levenberg_marquardt(theta0, u, y, ts, max_iter):

@@ -519,6 +519,28 @@ def test_a_file_that_is_not_utf8_exits_two_naming_the_file_and_line(
     assert err == f"error: {path}:{problem}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (["workspace", "--geometry"], "geom.json",
+         '{"l1": 1.5, "l2": ' + "7" * 5000 + ', "alpha_deg": 10.0}'),
+        (["simulate"], "scenario.json",
+         '{"plant": "ascension_velocity", "duration": ' + "1" * 5000 + "}"),
+    ],
+    ids=["workspace-geometry", "simulate"],
+)
+def test_a_json_number_too_long_to_convert_exits_two_naming_the_file(
+        tmp_path, capsys, argv, name, text):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError; it used to reach the user with no
+    # file named
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit")
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -602,10 +624,10 @@ def test_options_are_accepted_only_where_read(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
-    # Only the fitter needs scipy.linalg: importing the CLI, every command
-    # but identify, the tuner, pole placement and every config error load no
-    # scipy module, and identify loads scipy.linalg but never scipy.signal.
+def test_no_command_loads_scipy(tmp_path):
+    # The package runs on numpy alone: importing the CLI, every command, the
+    # fitter included, the tuner, pole placement and every config error load
+    # no scipy module.
     log = tmp_path / "log.csv"
     _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
                    noise_frac=0.01)
@@ -634,10 +656,8 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
         "from gemservo.config import load_project\n"
         "from gemservo.controllers import place_poles, tune_pid\n"
         "def loaded(step, code=None):\n"
-        "    names = {m for m in sys.modules if m.startswith('scipy')}\n"
-        "    print('loaded:', step, code, len(names) > 0,\n"
-        "          'scipy.linalg' in names, 'scipy.signal' in names,\n"
-        "          file=sys.stderr)\n"
+        "    names = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "    print('loaded:', step, code, names, file=sys.stderr)\n"
         "proj = load_project()\n"
         "loaded('import')\n"
         "out, log, trace, scenario = sys.argv[1:]\n"
@@ -665,17 +685,17 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
     steps = [line for line in done.stderr.splitlines()
              if line.startswith("loaded: ")]
     assert steps == [
-        "loaded: import None False False False",
-        "loaded: --help 0 False False False",
-        "loaded: --version 0 False False False",
-        "loaded: workspace 0 False False False",
-        "loaded: metrics 0 False False False",
-        "loaded: simulate 2 False False False",
-        "loaded: simulate 0 False False False",
-        "loaded: reproduce 0 False False False",
-        "loaded: tune_pid None False False False",
-        "loaded: place_poles None False False False",
-        "loaded: identify 0 True True False",
+        "loaded: import None []",
+        "loaded: --help 0 []",
+        "loaded: --version 0 []",
+        "loaded: workspace 0 []",
+        "loaded: metrics 0 []",
+        "loaded: simulate 2 []",
+        "loaded: simulate 0 []",
+        "loaded: reproduce 0 []",
+        "loaded: tune_pid None []",
+        "loaded: place_poles None []",
+        "loaded: identify 0 []",
     ]
 
 

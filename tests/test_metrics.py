@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gemservo.config import load_project
+from gemservo.controllers import ActuatorLimits
 from gemservo.lti import TransferFunction, discretize_zoh, simulate, tf_to_ss
 from gemservo.metrics import (
     CONSTANTS,
@@ -19,6 +21,7 @@ from gemservo.metrics import (
     check_requirements,
     table_report,
 )
+from gemservo.simloop import Scenario, SignalSpec, run
 
 
 def _trace(t, r, y, diverged=False):
@@ -98,6 +101,41 @@ def test_trace_ending_outside_the_band_never_settles():
     y = np.full(30, 1.0)
     y[0], y[-1] = 0.0, 0.5
     m = analyze_step(_trace(t, np.ones(30), y))
+    assert not m.settled
+    assert m.tss is None
+
+
+def test_trace_reentering_the_band_at_its_last_sample_is_neither_settled_nor_recovered():
+    # out of the 2% band at every sample but the last: one sample inside the
+    # band is no verdict; the trace must stay inside over the tail window
+    t = np.arange(40) * 0.1
+    y = np.where(np.arange(40) % 2 == 0, 1.05, 0.95)
+    y[0], y[-1] = 0.0, 1.0
+    m = analyze_step(_trace(t, np.ones(40), y))
+    assert not m.settled
+    assert m.tss is None
+    r = np.full(40, 10.0)
+    d = analyze_disturbance(_trace(t, r, 10.0 * y), onset=1.0)
+    assert not d.recovered
+    assert d.recovery_time is None
+
+
+def test_a_limit_cycle_is_not_settled():
+    # ascension_velocity_pid under +-350 kHz limit-cycles between 8.3 and 11.0
+    # (r = 10) with a period of 5 samples; its last sample happens to fall
+    # inside the band, while 60 of its last 100 samples lie outside
+    proj = load_project()
+    trace = run(Scenario(
+        plant=proj.plants["ascension_velocity"],
+        controller=proj.controllers["ascension_velocity_pid"],
+        reference=SignalSpec(amplitude=10.0),
+        duration=60.0,
+        ts=proj.ts,
+        limits=ActuatorLimits(-350_000.0, 350_000.0),
+    ))
+    tail = np.abs(trace.y[-100:] - 10.0) > 0.2
+    assert not trace.diverged and tail.sum() == 60 and not tail[-1]
+    m = analyze_step(trace)
     assert not m.settled
     assert m.tss is None
 

@@ -489,9 +489,9 @@ _COST_CASES = dict(
 # sampled model lose the poles' precision; the state recursion does not
 @example(b0=1.0, a1=-5.0, a0=1.0, ts=0.008821800229229307, n=263, seed=295)
 def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
-    # the reference steps _cost's own sampled model, scipy's exponential of
-    # the same block, so only the band solve is compared with the float
-    # recursion of lti.simulate
+    # the reference steps scipy's exponential of the same block with the
+    # float recursion of lti.simulate, so both the closed-form sampled model
+    # and the blocked convolution of _cost are compared
     u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
     phi = expm(sysid._zoh_block(a1, a0, ts))
     model = DiscreteStateSpace(phi[:2, :2], phi[:2, 2:], [[b0, 0.0]], [[0.0]], ts)
@@ -526,8 +526,8 @@ def _zoh_models(draw):
 @settings(deadline=None, max_examples=3000)
 @given(case=_zoh_models())
 def test_discretize_zoh_agrees_with_scipy_expm(case):
-    # lti.discretize_zoh has its own numpy exponential; the fitter keeps
-    # scipy's. Both must give the same sampled model to within rounding.
+    # lti.discretize_zoh has its own numpy exponential. It must give the
+    # sampled model of scipy's to within rounding.
     model, ts = case
     ss = tf_to_ss(model)
     n = ss.order
@@ -538,6 +538,79 @@ def test_discretize_zoh_agrees_with_scipy_expm(case):
     for got, want in ((dss.Ad, phi[:n, :n]), (dss.Bd, phi[:n, n:])):
         err = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
         assert err <= tol
+
+
+def _van_loan_block(a1: float, a0: float, ts: float) -> np.ndarray:
+    """[[M, dM/da1, dM/da0], [0, M, 0], [0, 0, M]] for M = ``_zoh_block``:
+    its exponential holds exp(M) and its a1 and a0 derivatives in the top
+    rows (Van Loan, 1978)."""
+    m = sysid._zoh_block(a1, a0, ts)
+    big = np.zeros((9, 9))
+    for k in range(0, 9, 3):
+        big[k:k + 3, k:k + 3] = m
+    big[1, 4] = big[1, 6] = -ts
+    return big
+
+
+@st.composite
+def _second_order_cases(draw):
+    """(a1, a0, ts): a sysid candidate in the ``_COST_CASES`` ranges, or a
+    bundled second-order plant, at a sampling period of 1 to 10 ms."""
+    ts = draw(_COST_CASES["ts"])
+    if draw(st.booleans()):
+        return draw(_COST_CASES["a1"]), draw(_COST_CASES["a0"]), ts
+    plant = draw(st.sampled_from([p for p in _PLANTS if p.order == 2]))
+    return plant.den[1], plant.den[2], ts
+
+
+@settings(deadline=None, max_examples=1000)
+@given(case=_second_order_cases())
+# repeated poles: mu^2 t^2 = 0 exactly
+@example(case=(100.0, 2500.0, 0.004))
+@example(case=(2.0, 1.0, 0.01))
+# |mu^2 t^2| < 1e-8, real and complex: q, and T in the derivatives, must
+# not cancel there
+@example(case=(100.0 + 2e-9, 2500.0, 0.01))
+@example(case=(100.0 - 2e-9, 2500.0, 0.01))
+# a0 -> 0 and a0 <= 0: a pole at or past the origin
+@example(case=(52.0, 1e-12, 0.004))
+@example(case=(300.0, 1e-300, 0.01))
+@example(case=(52.0, 0.0, 0.004))
+@example(case=(52.0, -3.0, 0.004))
+@example(case=(0.0, 0.0, 0.01))
+def test_closed_form_zoh_agrees_with_scipy_expm(case):
+    # _cost and _jacobian take (Ad, Bd) and their a1 and a0 derivatives in
+    # closed form. They must match scipy's exponential of the 3x3 block and
+    # of the 9x9 Van Loan block to within its rounding. That exponential is
+    # accurate relative to its own norm, not to its small derivative blocks:
+    # at a1 = 300, a0 = 1e-300, ts = 10 ms scipy's d a11 / d a1 is 8e-14 off
+    # the 40-digit value, the closed form's 2e-16.
+    a1, a0, ts = case
+    base, d_a1, d_a0 = (np.reshape(b, (2, 3)) for b in sysid._zoh_rows(a1, a0, ts))
+    block = sysid._zoh_block(a1, a0, ts)
+    phi = expm(block)[:2]
+    tol = _ZOH_RTOL * max(1.0, np.linalg.norm(block, 1))
+    for got, want in ((base[:, :2], phi[:, :2]), (base[:, 2:], phi[:, 2:])):
+        assert np.linalg.norm(got - want, 1) <= tol * np.linalg.norm(want, 1)
+    big = _van_loan_block(a1, a0, ts)
+    top = expm(big)[:2]
+    tol = _ZOH_RTOL * max(1.0, np.linalg.norm(big, 1)) * np.linalg.norm(top, 1)
+    for got, want in ((d_a1, top[:, 3:6]), (d_a0, top[:, 6:9])):
+        assert np.linalg.norm(got - want, 1) <= tol
+
+
+def test_discretize_zoh_of_a_stiff_block_agrees_with_scipy_expm():
+    # the edge of lti._expm's working range: poles near -1e5 and -1e-5 over
+    # one sample of 1 s take 15 squarings, and both modes survive them
+    ss = tf_to_ss(TransferFunction((1.0,), (1.0, 1e5, 1.0)))
+    block = np.block([[ss.A, ss.B], [np.zeros((1, 3))]])
+    phi = expm(block)
+    dss = discretize_zoh(ss, 1.0)
+    tol = _ZOH_RTOL * max(1.0, np.linalg.norm(block, 1))
+    for got, want in ((dss.Ad, phi[:2, :2]), (dss.Bd, phi[:2, 2:])):
+        err = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+        assert err <= tol
+    assert dss.Ad[0, 0] < 1.0  # the slow mode e^{-1e-5} is kept
 
 
 def test_cost_rejects_nonfinite_parameters_and_models():
