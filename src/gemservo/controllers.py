@@ -274,12 +274,21 @@ def _law_function(law: str, n: int):
 
 
 def _as_strictly_proper_ss(plant: StateSpace | TransferFunction) -> StateSpace:
+    """``plant`` as a SISO state-space model, refusing direct feedthrough:
+    the one refusal of a biproper plant, for the designs and the loops."""
     ss = tf_to_ss(plant) if isinstance(plant, TransferFunction) else plant
     if not ss.is_siso:
         raise ValueError("a single-input single-output plant is required")
     if np.any(ss.D != 0.0):
         raise ValueError("plants with direct feedthrough (D != 0) are not supported")
     return ss
+
+
+def _check_k1(gains: StateFeedbackGains, n: int) -> None:
+    if len(gains.k1) != n:
+        raise ValueError(
+            f"k1 has {len(gains.k1)} entries but the plant has {n} states"
+        )
 
 
 def closed_loop_matrix(
@@ -292,8 +301,7 @@ def closed_loop_matrix(
     """
     ss = _as_strictly_proper_ss(plant)
     n = ss.order
-    if len(gains.k1) != n:
-        raise ValueError(f"k1 has {len(gains.k1)} entries, plant order is {n}")
+    _check_k1(gains, n)
     k1 = np.asarray(gains.k1, dtype=float).reshape(1, n)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = ss.A - ss.B @ k1

@@ -10,6 +10,12 @@ so the trace does not depend on the BLAS build numpy runs on either. Each
 kind of loop is compiled once into one function (:func:`_loop_factory`)
 from the plant rows of :func:`gemservo.lti._plant_source` and the law text of
 :func:`gemservo.controllers._law_source`, so one run is one call.
+
+Once the reference and disturbance are constant, a sample is one fixed map
+of the state the loop carries, so a block of samples that ends in the state
+it began with, bit for bit, repeats to the end of the run. The loop stops
+there and :func:`run` fills the rest of the trace with copies of that block:
+the trace stepping every sample gives, to the last bit.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .controllers import (
     PidGains,
     PidState,
     StateFeedbackGains,
+    _as_strictly_proper_ss,
+    _check_k1,
     _clamp_source,
     _law_gains,
     _law_source,
@@ -40,7 +48,6 @@ from .lti import (
     _plant_coefficients,
     _plant_source,
     discretize_zoh,
-    tf_to_ss,
 )
 from .metrics import (
     CONSTANTS,
@@ -76,6 +83,9 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 _MAX_SAMPLES = 10_000_000
+
+# Samples per block of the compiled loop, which compares its state each block
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -210,13 +220,50 @@ def _sampled_plant(plant: TransferFunction, ts: float) -> DiscreteStateSpace:
     the model is frozen, with read-only arrays, so every caller can share it.
     A biproper plant is refused here, for the loop, its matrix and the tuner.
     """
-    dss = discretize_zoh(tf_to_ss(plant), ts)
-    if np.any(dss.D != 0.0):
-        raise ValueError(
-            "plants with direct feedthrough (D != 0) would close an algebraic "
-            "loop and are not supported"
-        )
-    return dss
+    return discretize_zoh(_as_strictly_proper_ss(plant), ts)
+
+
+def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
+    """Source of the function :func:`_loop_factory` compiles."""
+    plant, output, update = _plant_source(n, "u_in")
+    gains, state, _, body = _law_source(law, n)
+    if inject == "output":
+        output += " + dv[k]"
+    u_in = "u_prev" if loop_delay else "u_sat"
+    if inject == "input":
+        u_in += " + dv[k]"
+    carried = [f"x{j}" for j in range(n)] + state + ["u_prev"]
+    snapshot = f"_pack({', '.join(carried)})"
+    params = ", ".join(plant + gains + ["u_min", "u_max", "ts", "lim"])
+    lines = [
+        "from struct import Struct",
+        f"_pack = Struct('{len(carried)}d').pack",
+        f"def loop({params}, rv, dv, uv, usv, yv, k_steady):",
+        *(f"    {v} = 0.0" for v in carried),
+        f"    last = {snapshot}",
+        f"    for k0 in range(0, len(yv), {_BLOCK}):",
+        f"        for k in range(k0, min(k0 + {_BLOCK}, len(yv))):",
+        f"            y = {output}",
+        "            yv[k] = y",
+        "            if not -lim <= y <= lim:",
+        "                uv[k] = u_prev",
+        f"                usv[k] = {_clamp_source('u_prev')}",
+        "                return k + 1, True",
+        "            r = rv[k]",
+        *(["            error = r - y"] if law == "pid" else []),
+        *(f"            {line}" for line in body.splitlines()),
+        "            uv[k] = u_cmd",
+        "            usv[k] = u_sat",
+        f"            u_in = {u_in}",
+        f"            {update}",
+        "            u_prev = u_sat",
+        f"        now = {snapshot}",
+        "        if now == last and k0 >= k_steady:",
+        "            return k + 1, False",
+        "        last = now",
+        "    return len(yv), False",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -229,49 +276,32 @@ def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
     :func:`gemservo.controllers._law_source`. The plant coefficients, gains,
     limits, ts and the divergence limit are arguments, and the signals are
     memoryviews. The loop returns (samples recorded, diverged).
+
+    A sample reads, besides the arguments and its inputs, only ``x0`` ..
+    ``x{n-1}``, the law's state and ``u_prev``. A block of ``_BLOCK`` samples
+    that starts at or after ``k_steady``, where the inputs turn constant, and
+    ends with those packed to the bytes they had at its start repeats to the
+    end: the loop returns there, not diverged, before the last sample.
     """
-    plant, output, update = _plant_source(n, "u_in")
-    gains, state, _, body = _law_source(law, n)
-    if inject == "output":
-        output += " + dv[k]"
-    u_in = "u_prev" if loop_delay else "u_sat"
-    if inject == "input":
-        u_in += " + dv[k]"
-    xs = [f"x{j}" for j in range(n)]
-    params = ", ".join(plant + gains + ["u_min", "u_max", "ts", "lim"])
-    lines = [
-        f"def loop({params}, rv, dv, uv, usv, yv):",
-        *(f"    {v} = 0.0" for v in xs + state + ["u_prev"]),
-        "    for k in range(len(yv)):",
-        f"        y = {output}",
-        "        yv[k] = y",
-        "        if not -lim <= y <= lim:",
-        "            uv[k] = u_prev",
-        f"            usv[k] = {_clamp_source('u_prev')}",
-        "            return k + 1, True",
-        "        r = rv[k]",
-        *(["        error = r - y"] if law == "pid" else []),
-        *(f"        {line}" for line in body.splitlines()),
-        "        uv[k] = u_cmd",
-        "        usv[k] = u_sat",
-        f"        u_in = {u_in}",
-        f"        {update}",
-        "        u_prev = u_sat",
-        "    return len(yv), False",
-    ]
-    return _compile("\n".join(lines) + "\n", "loop")
+    return _compile(_loop_source(n, law, inject, loop_delay), "loop")
+
+
+def _steady_from(*signals: np.ndarray | None) -> int:
+    """The first sample from which the signals are constant, bit for bit: a
+    step counts from its start, a ramp only from its last sample."""
+    bits = [s.view(np.int64) for s in signals if s is not None]
+    return int(max((np.flatnonzero(b != b[-1])[-1:] + 1).sum() for b in bits))
 
 
 def run(scenario: Scenario) -> SimTrace:
-    """Simulate the scenario and return the full trace."""
+    """Simulate the scenario and return the full trace. When the compiled
+    loop stops early, its last block repeats to the end of the trace."""
     dss = _sampled_plant(scenario.plant, scenario.ts)
     n = dss.order
     gains = scenario.controller
     is_pid = isinstance(gains, PidGains)
-    if not is_pid and len(gains.k1) != n:
-        raise ValueError(
-            f"k1 has {len(gains.k1)} entries but the plant has {n} states"
-        )
+    if not is_pid:
+        _check_k1(gains, n)
 
     N = int(round(scenario.duration / scenario.ts)) + 1
     t = np.arange(N) * scenario.ts
@@ -293,7 +323,12 @@ def run(scenario: Scenario) -> SimTrace:
         limits.u_min, limits.u_max, ts, DIVERGENCE_LIMIT,
         memoryview(r), memoryview(d) if d is not None else None,
         memoryview(u_arr), memoryview(us_arr), memoryview(y_arr),
+        _steady_from(r, d),
     )
+    if end < N and not diverged:
+        for arr in (u_arr, us_arr, y_arr):
+            arr[end:] = np.resize(arr[end - _BLOCK:end], N - end)
+        end = N
 
     t = t[:end]
     r = r[:end]
@@ -424,10 +459,7 @@ def discrete_loop_matrix(
         gains = replace(controller, u_min=-math.inf, u_max=math.inf)
         m = n + 3
     else:
-        if len(controller.k1) != n:
-            raise ValueError(
-                f"k1 has {len(controller.k1)} entries but the plant has {n} states"
-            )
+        _check_k1(controller, n)
         open_limits = ActuatorLimits(-math.inf, math.inf)
         m = n + 1
     phi = np.empty((m, m))

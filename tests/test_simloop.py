@@ -1,6 +1,7 @@
 """Tests for the closed-loop simulation harness: scenarios, traces,
 saturation accounting, divergence handling and the study suites."""
 
+import ast
 import csv
 import math
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gemservo import sysid
+from gemservo import simloop, sysid
 from gemservo.config import load_project
 from gemservo.controllers import (
     DEFAULT_LIMITS,
@@ -18,6 +19,7 @@ from gemservo.controllers import (
     PidGains,
     PidState,
     StateFeedbackGains,
+    closed_loop_matrix,
     pid_step,
     place_poles,
     sf_step,
@@ -130,15 +132,15 @@ def test_a_biproper_plant_is_refused_by_the_loop_its_matrix_and_the_tuner():
     biproper = TransferFunction((1.0, 0.0), (1.0, 2.0))
     pid = PidGains(1.0, 1.0, 0.0)
     req = Requirement(amplitude=1.0, tss_max=1.0, os_max=10.0)
-    message = (
-        "plants with direct feedthrough (D != 0) would close an algebraic "
-        "loop and are not supported"
-    )
+    sf = StateFeedbackGains(k1=(1.0,), k2=1.0)
+    message = "plants with direct feedthrough (D != 0) are not supported"
     calls = [
         lambda: run(_step_scenario(biproper, pid, 1.0, 1.0)),
         lambda: discrete_loop_matrix(biproper, pid),
         lambda: sampled_decay_rate(biproper, pid),
         lambda: tune_pid(biproper, req),
+        lambda: place_poles(biproper, [-1.0, -2.0]),
+        lambda: closed_loop_matrix(biproper, sf),
     ]
     for call in calls:
         with pytest.raises(ValueError) as info:
@@ -147,9 +149,17 @@ def test_a_biproper_plant_is_refused_by_the_loop_its_matrix_and_the_tuner():
 
 
 def test_run_rejects_mismatched_state_feedback():
+    # with the message of the loop matrix and of closed_loop_matrix
     sf = StateFeedbackGains(k1=(1.0, 1.0, 1.0), k2=1.0)
-    with pytest.raises(ValueError, match="k1 has 3"):
-        run(_step_scenario(ASC_VEL, sf, 1.0, 1.0))
+    calls = [
+        lambda: run(_step_scenario(ASC_VEL, sf, 1.0, 1.0)),
+        lambda: discrete_loop_matrix(ASC_VEL, sf),
+        lambda: closed_loop_matrix(ASC_VEL, sf),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "k1 has 3 entries but the plant has 2 states"
 
 
 # ---------------------------------------------------------------------------
@@ -896,3 +906,201 @@ def test_run_matches_reference_loop_on_diverging_and_saturated_runs():
         trace = _assert_trace_is_reference(runaway)
         assert trace.diverged and len(trace) == 2
         assert str(trace.y[-1]) == last
+
+
+# ---------------------------------------------------------------------------
+# The compiled loop stops once its state repeats, and the trace is unchanged
+
+
+@pytest.fixture
+def loop_ends(monkeypatch):
+    """The (samples stepped, samples in the run) of each compiled-loop call,
+    and whether it diverged."""
+    ends = []
+    factory = simloop._loop_factory
+
+    def recording(*key):
+        loop = factory(*key)
+
+        def call(*args):
+            end, diverged = loop(*args)
+            ends.append((end, len(args[-2]), diverged))
+            return end, diverged
+
+        return call
+
+    monkeypatch.setattr(simloop, "_loop_factory", recording)
+    return ends
+
+
+@pytest.mark.parametrize("label, stops", [
+    ("ascension_position_pid", True),
+    ("declination_position_pid", True),
+    ("ascension_position_sf", True),
+    ("declination_position_sf", False),
+])
+def test_reproduce_position_rows_match_reference_loop_bit_for_bit(
+    label, stops, loop_ends
+):
+    # the tracking runs of `reproduce`, under the project's one-sided limits:
+    # both position PIDs are pinned at zero command, and ascension_position_sf
+    # settles to its last bit, long before their last sample
+    system = label.rsplit("_", 1)[0]
+    case = TrackingCase(
+        label=label, plant=PROJECT.plants[system],
+        controller=PROJECT.controllers[label],
+        requirement=PROJECT.requirements[system],
+        ts=PROJECT.ts, limits=PROJECT.limits,
+    )
+    _, duration = simloop._case_duration(case)
+    scen = _step_scenario(case.plant, case.controller, case.requirement.amplitude,
+                          duration, ts=case.ts, limits=case.limits)
+    _assert_trace_is_reference(scen)
+    ((end, n, diverged),) = loop_ends
+    assert not diverged
+    assert (end < n) == stops
+
+
+_BLOCK = simloop._BLOCK
+
+
+@st.composite
+def _blocked_scenarios(draw):
+    """Scenarios of 3 to 8 loop blocks: loops that come to rest, settle or
+    pin at a limit, references of 0.0 and -0.0, steps and disturbances that
+    start after the state has settled, and ramps."""
+    plant, base = _LOOPS[draw(st.sampled_from(sorted(_LOOPS)))]
+    scale = draw(st.sampled_from([1.0, 0.3, 3.0]))
+    if isinstance(base, PidGains):
+        controller = PidGains(
+            base.kp * scale, base.ki * scale, base.kd * scale,
+            deriv_filter_n=draw(st.sampled_from([1.0, 100.0])),
+        )
+    else:
+        controller = StateFeedbackGains(
+            tuple(k * scale for k in base.k1), base.k2 * scale
+        )
+    ts = draw(st.sampled_from([0.01, 0.005, 0.002]))
+    duration = ts * draw(st.integers(3 * _BLOCK, 8 * _BLOCK))
+    reference = draw(st.one_of(
+        st.builds(SignalSpec, shape=st.just("step"),
+                  amplitude=st.one_of(st.sampled_from([0.0, -0.0]),
+                                      st.floats(-20.0, 20.0)),
+                  start=st.floats(0.0, duration / 2)),
+        st.builds(SignalSpec, shape=st.just("ramp"),
+                  rate=st.one_of(st.floats(-5.0, -0.01), st.floats(0.01, 5.0)),
+                  start=st.floats(0.0, duration / 2)),
+    ))
+    disturbance = draw(st.one_of(
+        st.none(),
+        st.builds(DisturbanceSpec, shape=st.just("step"),
+                  amplitude=st.floats(-1e5, 1e5),
+                  start=st.floats(0.3 * duration, 0.9 * duration),
+                  inject=st.sampled_from(["input", "output"])),
+    ))
+    return Scenario(
+        plant=plant, controller=controller, reference=reference,
+        duration=duration, ts=ts,
+        limits=draw(st.sampled_from([None, DEFAULT_LIMITS, WIDE, _OPEN])),
+        disturbance=disturbance, loop_delay=draw(st.booleans()),
+    )
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scen=_blocked_scenarios())
+def test_run_matches_reference_loop_across_blocks_bit_for_bit(scen, loop_ends):
+    loop_ends.clear()
+    _assert_trace_is_reference(scen)
+    ((end, n, diverged),) = loop_ends
+    if scen.reference.shape == "ramp":
+        assert end == n or diverged  # the reference never stops changing
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -0.0])
+def test_the_held_command_is_part_of_the_repeated_state(amplitude):
+    # an undamped plant whose sampled model has negative entries, at rest:
+    # the command cycles through -0.0, -0.0 and 0.0, and the loop delay
+    # feeds each to the plant a sample later. At the block boundaries the
+    # plant state and xi read the same bits, so only u_prev tells the first
+    # block from the second.
+    oscillator = TransferFunction((1.0,), (1.0, 0.0, 350.0**2))
+    sf = StateFeedbackGains((1.0, -1.0), -1.0)
+    _assert_trace_is_reference(_step_scenario(
+        oscillator, sf, amplitude, 8.0, ts=0.01, limits=WIDE, loop_delay=True
+    ))
+
+
+def test_a_decaying_derivative_filter_is_part_of_the_repeated_state():
+    # r < 0 pins the command at the one-sided actuator's zero from the first
+    # sample: the plant, the frozen integral, the error and u_prev hold still
+    # while the slow derivative filter decays, moving the raw command's last
+    # bits for about 3 000 samples
+    pid = PidGains(5.0, 20.0, 0.01, deriv_filter_n=1.0)
+    trace = _assert_trace_is_reference(_step_scenario(FIRST_ORDER, pid, -1.0, 40.0))
+    assert np.all(trace.u_sat == 0.0) and trace.u[2_000] != trace.u[2_001]
+
+
+@pytest.mark.parametrize("scen", [
+    # at rest for 500 samples, then a step
+    Scenario(plant=FIRST_ORDER, controller=PidGains(5.0, 20.0, 0.01),
+             reference=SignalSpec(amplitude=1.0, start=5.0), duration=10.0),
+    # a load after the loop has settled to its last bit, near sample 5 231
+    _step_scenario(ASC_POS, PROJECT.controllers["ascension_position_sf"], 90.0,
+                   60.0, disturbance=DisturbanceSpec(amplitude=-500.0, start=58.0)),
+], ids=["reference", "disturbance"])
+def test_a_step_after_the_state_has_settled_is_not_missed(scen):
+    _assert_trace_is_reference(scen)
+
+
+def _first_reads(stmts, assigned):
+    """Names the statements read before every path through them has assigned
+    them, with ``assigned`` holding the names assigned on entry; updates
+    ``assigned`` with the names assigned on every path."""
+    reads = set()
+    for stmt in stmts:
+        if isinstance(stmt, ast.If):
+            reads |= {n.id for n in ast.walk(stmt.test)
+                      if isinstance(n, ast.Name)} - assigned
+            branches = []
+            for body in (stmt.body, stmt.orelse):
+                got = set(assigned)
+                reads |= _first_reads(body, got)
+                if not (body and isinstance(body[-1], ast.Return)):
+                    branches.append(got)
+            if branches:
+                assigned |= set.intersection(*branches)
+            continue
+        loads, stores = set(), set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                (stores if isinstance(node.ctx, ast.Store) else loads).add(node.id)
+        reads |= loads - assigned
+        assigned |= stores
+    return reads
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("law", ["pid", "sf"])
+@pytest.mark.parametrize("inject", [None, "input", "output"])
+@pytest.mark.parametrize("loop_delay", [False, True])
+def test_the_repeated_state_holds_every_local_a_sample_reads_first(
+    n, law, inject, loop_delay
+):
+    # the shortcut is exact only if the packed state is all a sample reads
+    # that an earlier sample wrote: every local a sample reads before it
+    # assigns it, besides the arguments and the sample index
+    tree = ast.parse(simloop._loop_source(n, law, inject, loop_delay))
+    (loop,) = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    params = {a.arg for a in loop.args.args}
+    (sample,) = [f for f in ast.walk(loop)
+                 if isinstance(f, ast.For) and f.target.id == "k"]
+    packed = [
+        [a.id for a in node.value.args] for node in ast.walk(loop)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and node.value.func.id == "_pack"
+    ]
+    assert len(packed) == 2 and packed[0] == packed[1]
+    first = _first_reads(sample.body, set()) - params - {"k"}
+    assert {f"x{j}" for j in range(n)} | {"u_prev"} <= first
+    assert first <= set(packed[0])

@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -485,9 +486,6 @@ _COST_CASES = dict(
 
 @settings(deadline=None)
 @given(**_COST_CASES)
-# both poles near z = 1, where the transfer-function coefficients of the
-# sampled model lose the poles' precision; the state recursion does not
-@example(b0=1.0, a1=-5.0, a0=1.0, ts=0.008821800229229307, n=263, seed=295)
 def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     # the reference steps scipy's exponential of the same block with the
     # float recursion of lti.simulate, so both the closed-form sampled model
@@ -496,6 +494,28 @@ def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     phi = expm(sysid._zoh_block(a1, a0, ts))
     model = DiscreteStateSpace(phi[:2, :2], phi[:2, 2:], [[b0, 0.0]], [[0.0]], ts)
     ref, _ = simulate(model, u)
+    r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
+    assert r is not None
+    assert float(np.max(np.abs(r - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
+
+
+def test_cost_residual_with_both_poles_near_one_matches_a_40_digit_recursion():
+    # both poles near z = 1, where the transfer-function coefficients of the
+    # sampled model lose the poles' precision; the state recursion does not.
+    # A float reference is itself about 7e-12 off here, and one ulp of its
+    # Ad moves it by 2e-11, so the reference is the exact model's recursion.
+    b0, a1, a0, ts, n = 1.0, -5.0, 1.0, 0.008821800229229307, 263
+    u = 250_000.0 * np.random.default_rng(295).standard_normal(n)
+    with mpmath.workdps(40):
+        block = mpmath.matrix([[0, 1, 0], [-a0, -a1, 1], [0, 0, 0]]) * ts
+        phi = mpmath.expm(block)
+        x0 = x1 = mpmath.mpf(0)
+        ref = []
+        for uk in u.tolist():
+            ref.append(b0 * x0)
+            x0, x1 = (phi[0, 0] * x0 + phi[0, 1] * x1 + phi[0, 2] * uk,
+                      phi[1, 0] * x0 + phi[1, 1] * x1 + phi[1, 2] * uk)
+        ref = np.array([float(v) for v in ref])
     r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
     assert r is not None
     assert float(np.max(np.abs(r - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
