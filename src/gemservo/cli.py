@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +34,11 @@ from .controllers import ActuatorLimits
 from .kinematics import MountGeometry, workspace, write_workspace_csv
 from .metrics import (
     CONSTANTS,
-    ESS_REL_TOL,
     StepMetrics,
     analyze_step,
     check_requirements,
     table_report,
+    within_ess,
 )
 from .sysid import fit_second_order, integrator_augment, load_dataset, select_best
 
@@ -77,15 +77,7 @@ def _out_dir(args) -> Path:
 
 
 def _metrics_doc(m: StepMetrics | None) -> dict | None:
-    if m is None:
-        return None
-    return {
-        "tss": m.tss,
-        "os_pct": m.os_pct,
-        "ess": m.ess,
-        "settled": m.settled,
-        "y_final": m.y_final,
-    }
+    return None if m is None else asdict(m)
 
 
 # ---------------------------------------------------------------- identify
@@ -171,16 +163,6 @@ def _metrics_line(m: StepMetrics) -> str:
     )
 
 
-def _replay(loaded, band: float):
-    """Run a loaded scenario; returns (trace, metrics, verdict, limits)."""
-    trace = simloop.run(loaded.scenario)
-    m = analyze_step(trace, band) if len(trace) >= 2 else None
-    verdict = None
-    if loaded.requirement is not None and m is not None and not trace.diverged:
-        verdict = check_requirements(m, loaded.requirement)
-    return trace, m, verdict, loaded.scenario.effective_limits()
-
-
 def _simulate_summary(loaded, trace, m, verdict, limits, doc) -> list[str]:
     lines = [f"scenario: {loaded.scenario.label or loaded.name}"]
     lines.append(
@@ -222,12 +204,12 @@ def cmd_simulate(args) -> int:
         scenario = replace(scenario, limits=ActuatorLimits(-m, m))
     if args.loop_delay:
         scenario = replace(scenario, loop_delay=True)
-    loaded = replace(loaded, scenario=scenario)
     band = args.band if args.band is not None else project.band_pct
     try:
-        trace, m, verdict, limits = _replay(loaded, band)
+        trace, m, verdict = simloop.run_and_judge(scenario, loaded.requirement, band)
     except ValueError as exc:
         raise ValueError(f"{args.scenario}: {exc}") from None
+    limits = scenario.effective_limits()
 
     out = _out_dir(args)
     trace_path = out / f"{loaded.name}_trace.csv"
@@ -395,7 +377,7 @@ def _tracking_docs(project, rows) -> list[dict]:
         # the integral-action property backs the ess cell only when the loop
         # actually converged; limit-cycling or stuck loops are reported as-is
         if row.linearly_stable and settled:
-            ess_ok = m.ess <= ESS_REL_TOL * abs(req.amplitude)
+            ess_ok = within_ess(m.ess, req.amplitude)
             ess_status = _ASSERT_OK if ess_ok else _ASSERT_FAIL
         else:
             ess_status = _REPORTED
@@ -552,13 +534,17 @@ def cmd_reproduce(args) -> int:
     doc["assertions_passed"] = all_ok
     # bundled scenarios replay in name order
     for name in bundled_scenario_names():
-        trace, _, verdict, limits = _replay(load_scenario(name, project=project), band)
+        loaded = load_scenario(name, project=project)
+        trace, _, verdict = simloop.run_and_judge(
+            loaded.scenario, loaded.requirement, band
+        )
+        u_min = loaded.scenario.effective_limits().u_min
         doc["scenarios"].append(
             {
                 "name": name,
                 "diverged": trace.diverged,
                 "passed": None if verdict is None else verdict.passed,
-                "clipped_low_samples": int(np.sum(trace.u < limits.u_min)),
+                "clipped_low_samples": int(np.sum(trace.u < u_min)),
             }
         )
 

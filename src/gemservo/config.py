@@ -81,6 +81,16 @@ def _get(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _table(obj: dict, key: str, ctx: str) -> dict:
+    """The object under ``key``: a table of named entries."""
+    value = _get(obj, key, ctx)
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f"{ctx}.{key}: expected an object, got {type(value).__name__}"
+        )
+    return value
+
+
 def _num(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: expected a number, got {value!r}")
@@ -303,15 +313,15 @@ def load_project(path: str | Path | None = None) -> Project:
     )
     plants = {
         key: tf_from_json(val, f"{name}.plants.{key}")
-        for key, val in _get(raw, "plants", name).items()
+        for key, val in _table(raw, "plants", name).items()
     }
     requirements = {
         key: requirement_from_json(val, f"{name}.requirements.{key}", label=key)
-        for key, val in _get(raw, "requirements", name).items()
+        for key, val in _table(raw, "requirements", name).items()
     }
     controllers = {
         key: controller_from_json(val, f"{name}.controllers.{key}")
-        for key, val in _get(raw, "controllers", name).items()
+        for key, val in _table(raw, "controllers", name).items()
     }
     geometry = geometry_from_json(_get(raw, "geometry", name), f"{name}.geometry")
     return Project(

@@ -525,16 +525,18 @@ def tune_pid(
                 f"found a pole at {p:g} outside the open left half-plane"
             )
 
-    def run(gains: PidGains, duration: float):
-        scen = simloop.Scenario(
-            plant=plant,
-            controller=gains,
-            reference=simloop.SignalSpec(shape="step", amplitude=req.amplitude),
-            duration=duration,
-            ts=ts,
+    def judge(gains: PidGains, duration: float):
+        """(verdict, metrics) of the requirement's step run for ``duration``,
+        or None if the loop diverged."""
+        case = simloop.TrackingCase(
+            label="", plant=plant, controller=gains, requirement=req, ts=ts,
             limits=limits,
         )
-        return simloop.run(scen)
+        trace = simloop.run(case.step_scenario(duration))
+        if trace.diverged:
+            return None
+        m = analyze_step(trace, band_pct)
+        return check_requirements(m, req), m
 
     @functools.cache
     def decay_rate(gains: PidGains) -> float | None:
@@ -546,22 +548,14 @@ def tune_pid(
         rate = decay_rate(gains)
         if rate is None:
             return None
-        duration = min(max(2.0 * req.tss_max, 20.0 / rate), 600.0)
-        trace = run(gains, duration)
-        if trace.diverged:
-            return None
-        m = analyze_step(trace, band_pct)
-        return check_requirements(m, req), m
+        return judge(gains, min(max(2.0 * req.tss_max, 20.0 / rate), 600.0))
 
     @functools.cache
     def screen(gains: PidGains) -> bool:
         if decay_rate(gains) is None:
             return False
-        trace = run(gains, 2.0 * req.tss_max)
-        if trace.diverged:
-            return False
-        m = analyze_step(trace, band_pct)
-        return m.settled and m.tss <= req.tss_max and m.os_pct <= req.os_max
+        result = judge(gains, 2.0 * req.tss_max)
+        return result is not None and result[0].tss_ok and result[0].os_ok
 
     def score(gains: PidGains) -> float:
         result = evaluate(gains)

@@ -111,6 +111,25 @@ def _as_matrix(value, name: str, shape: tuple[int, int] | None = None) -> np.nda
     return arr
 
 
+def _set_matrices(model, a: str, b: str) -> None:
+    """Check the shapes of a model's state matrix ``a``, input matrix ``b``,
+    C and D, and store each as a read-only float array."""
+    A = _as_matrix(getattr(model, a), a)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"{a} must be square, got {A.shape}")
+    B = _as_matrix(getattr(model, b), b)
+    if B.shape[0] != n:
+        raise ValueError(f"{b} must have {n} rows, got {B.shape}")
+    C = _as_matrix(model.C, "C")
+    if C.shape[1] != n:
+        raise ValueError(f"C must have {n} columns, got {C.shape}")
+    D = _as_matrix(model.D, "D", (C.shape[0], B.shape[1]))
+    for name, arr in ((a, A), (b, B), ("C", C), ("D", D)):
+        arr.setflags(write=False)
+        object.__setattr__(model, name, arr)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Continuous-time state-space model dx/dt = A x + B u, y = C x + D u."""
@@ -121,20 +140,7 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        A = _as_matrix(self.A, "A")
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
-        B = _as_matrix(self.B, "B")
-        if B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got {B.shape}")
-        C = _as_matrix(self.C, "C")
-        if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {C.shape}")
-        D = _as_matrix(self.D, "D", (C.shape[0], B.shape[1]))
-        for name, arr in (("A", A), ("B", B), ("C", C), ("D", D)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_matrices(self, "A", "B")
 
     @property
     def order(self) -> int:
@@ -158,20 +164,7 @@ class DiscreteStateSpace:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.ts) and self.ts > 0.0):
             raise ValueError(f"ts must be positive and finite, got {self.ts}")
-        Ad = _as_matrix(self.Ad, "Ad")
-        n = Ad.shape[0]
-        if Ad.shape != (n, n):
-            raise ValueError(f"Ad must be square, got {Ad.shape}")
-        Bd = _as_matrix(self.Bd, "Bd")
-        if Bd.shape[0] != n:
-            raise ValueError(f"Bd must have {n} rows, got {Bd.shape}")
-        C = _as_matrix(self.C, "C")
-        if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {C.shape}")
-        D = _as_matrix(self.D, "D", (C.shape[0], Bd.shape[1]))
-        for name, arr in (("Ad", Ad), ("Bd", Bd), ("C", C), ("D", D)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_matrices(self, "Ad", "Bd")
 
     @property
     def order(self) -> int:

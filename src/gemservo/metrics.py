@@ -17,6 +17,7 @@ __all__ = [
     "analyze_step",
     "analyze_disturbance",
     "check_requirements",
+    "within_ess",
     "table_report",
 ]
 
@@ -102,7 +103,10 @@ class RequirementVerdict:
         return self.settled_ok and self.tss_ok and self.os_ok and self.ess_ok
 
 
-def _trace_arrays(trace):
+def _trace_arrays(trace, band_pct: float):
+    """Check ``band_pct`` and the trace; return the trace's (t, r, y, diverged)."""
+    if not (math.isfinite(band_pct) and band_pct > 0.0):
+        raise ValueError(f"band_pct must be positive, got {band_pct}")
     t = np.asarray(trace.t, dtype=float)
     r = np.asarray(trace.r, dtype=float)
     y = np.asarray(trace.y, dtype=float)
@@ -110,33 +114,54 @@ def _trace_arrays(trace):
         raise ValueError("trace t, r, y must be equal-length 1-D arrays")
     if t.size < 2:
         raise ValueError("trace must contain at least 2 samples")
-    return t, r, y
+    return t, r, y, bool(getattr(trace, "diverged", False))
+
+
+def _tail(values: np.ndarray) -> np.ndarray:
+    """The tail window of a trace: its last 5 % of samples, at least one.
+    Final values are averaged over it, and a trace must stay in the band
+    over it to settle."""
+    return values[-max(1, int(round(0.05 * len(values)))):]
+
+
+def _settling_time(t, outside, diverged: bool, since: float = 0.0) -> float | None:
+    """The time from ``since`` to the first sample after the last one
+    ``outside`` the band (0.0 when none is), or None when the trace diverged
+    or leaves the band anywhere in its tail window: one sample inside the
+    band at the end of a limit cycle is not settling."""
+    if diverged or _tail(outside).any():
+        return None
+    out = np.flatnonzero(outside)
+    return float(t[out[-1] + 1] - since) if out.size else 0.0
+
+
+def within_ess(err: float, amplitude: float, ess_max: float = 0.0) -> bool:
+    """Whether a steady error meets ``ess_max``, with a slack of ESS_REL_TOL
+    times the reference amplitude, so that a zero bound can be met in
+    floating point."""
+    return err <= ess_max + ESS_REL_TOL * abs(amplitude)
 
 
 def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMetrics:
     """Extract tss, %OS and ess from a step-response trace.
 
     The settling time is the earliest instant after which |y - r_final| stays
-    within band_pct percent of |r_final| for the remainder of the trace. A
-    trace settles only if it stays in the band over at least the tail window
-    that ``y_final`` averages (the last 5% of the samples): one sample inside
-    the band at the end of a limit cycle is not settling. Overshoot is the
-    peak excursion past the final reference, normalized by the commanded
-    step size. A trace flagged as diverged never settles.
+    within band_pct percent of |r_final| for the remainder of the trace, and
+    the trace settles only if that holds over its :func:`_tail` window, the
+    one ``y_final`` averages. Overshoot is the peak excursion past the final
+    reference, normalized by the commanded step size. A trace flagged as
+    diverged never settles.
 
     ``trace`` needs attributes ``t``, ``r``, ``y`` (and optionally
     ``diverged``), so simulation traces and hand-built records both work.
     """
-    if not (math.isfinite(band_pct) and band_pct > 0.0):
-        raise ValueError(f"band_pct must be positive, got {band_pct}")
-    t, r, y = _trace_arrays(trace)
+    t, r, y, diverged = _trace_arrays(trace, band_pct)
     r_final = float(r[-1])
     step = r_final - float(y[0])
     if step == 0.0:
         raise ValueError("reference step size is zero; step metrics are undefined")
 
-    n_tail = max(1, int(round(0.05 * y.size)))
-    y_final = float(np.mean(y[-n_tail:]))
+    y_final = float(np.mean(_tail(y)))
     ess = abs(r_final - y_final)
 
     if step > 0.0:
@@ -146,19 +171,10 @@ def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMet
     os_pct = 100.0 * max(0.0, excursion / abs(step))
 
     band = band_pct / 100.0 * abs(r_final)
-    outside = np.abs(y - r_final) > band
-    diverged = bool(getattr(trace, "diverged", False))
-    if diverged:
-        settled, tss = False, None
-    elif not outside.any():
-        settled, tss = True, 0.0
-    else:
-        last_out = int(np.nonzero(outside)[0][-1])
-        if last_out >= y.size - n_tail:
-            settled, tss = False, None
-        else:
-            settled, tss = True, float(t[last_out + 1])
-    return StepMetrics(tss=tss, os_pct=os_pct, ess=ess, settled=settled, y_final=y_final)
+    tss = _settling_time(t, np.abs(y - r_final) > band, diverged)
+    return StepMetrics(
+        tss=tss, os_pct=os_pct, ess=ess, settled=tss is not None, y_final=y_final
+    )
 
 
 def analyze_disturbance(
@@ -166,12 +182,10 @@ def analyze_disturbance(
 ) -> DisturbanceMetrics:
     """Recovery metrics on the trace segment from the disturbance onset on.
 
-    The trace recovers only if it stays in the band over at least the tail
-    window that ``final_error`` averages (the last 5% of the segment).
+    Recovery is settling, by the rule of :func:`analyze_step`, of the
+    segment, timed from the onset; ``final_error`` averages its tail window.
     """
-    if not (math.isfinite(band_pct) and band_pct > 0.0):
-        raise ValueError(f"band_pct must be positive, got {band_pct}")
-    t, r, y = _trace_arrays(trace)
+    t, r, y, diverged = _trace_arrays(trace, band_pct)
     if not (t[0] <= onset <= t[-1]):
         raise ValueError(
             f"onset {onset:g} lies outside the trace span [{t[0]:g}, {t[-1]:g}]"
@@ -181,27 +195,17 @@ def analyze_disturbance(
     scale = abs(r_final)
     if scale == 0.0:
         raise ValueError("final reference is zero; relative deviation is undefined")
-    seg_t = t[k0:]
     seg_y = y[k0:]
     dev = np.abs(seg_y - r_final)
     peak_pct = 100.0 * float(np.max(dev)) / scale
     band = band_pct / 100.0 * scale
-    outside = dev > band
-    n_tail = max(1, int(round(0.05 * seg_y.size)))
-    diverged = bool(getattr(trace, "diverged", False))
-    if diverged or outside[-n_tail:].any():
-        recovered, recovery = False, None
-    elif not outside.any():
-        recovered, recovery = True, 0.0
-    else:
-        last_out = int(np.nonzero(outside)[0][-1])
-        recovered, recovery = True, float(seg_t[last_out + 1] - onset)
-    final_error = abs(r_final - float(np.mean(seg_y[-n_tail:])))
+    recovery = _settling_time(t[k0:], dev > band, diverged, onset)
+    final_error = abs(r_final - float(np.mean(_tail(seg_y))))
     return DisturbanceMetrics(
         peak_dev_pct=peak_pct,
         recovery_time=recovery,
         final_error=final_error,
-        recovered=recovered,
+        recovered=recovery is not None,
     )
 
 
@@ -215,7 +219,7 @@ def check_requirements(metrics: StepMetrics, req: Requirement) -> RequirementVer
     settled_ok = metrics.settled
     tss_ok = metrics.settled and metrics.tss is not None and metrics.tss <= req.tss_max
     os_ok = metrics.os_pct <= req.os_max
-    ess_ok = metrics.ess <= req.ess_max + ESS_REL_TOL * abs(req.amplitude)
+    ess_ok = within_ess(metrics.ess, req.amplitude, req.ess_max)
     return RequirementVerdict(
         settled_ok=settled_ok, tss_ok=tss_ok, os_ok=os_ok, ess_ok=ess_ok
     )

@@ -51,14 +51,15 @@ from .lti import (
 )
 from .metrics import (
     CONSTANTS,
-    ESS_REL_TOL,
     DisturbanceMetrics,
     Requirement,
     RequirementVerdict,
     StepMetrics,
+    _tail,
     analyze_disturbance,
     analyze_step,
     check_requirements,
+    within_ess,
 )
 from .sysid import _read_columns
 
@@ -68,6 +69,7 @@ __all__ = [
     "Scenario",
     "SimTrace",
     "run",
+    "run_and_judge",
     "max_control",
     "write_trace_csv",
     "read_trace_csv",
@@ -352,6 +354,23 @@ def run(scenario: Scenario) -> SimTrace:
     )
 
 
+def run_and_judge(
+    scenario: Scenario,
+    requirement: Requirement | None = None,
+    band_pct: float = CONSTANTS.default_band_pct,
+) -> tuple[SimTrace, StepMetrics | None, RequirementVerdict | None]:
+    """Run the scenario and judge its step response: (trace, metrics,
+    verdict). The metrics are None for a trace of under 2 samples, and the
+    verdict is None without a requirement, without metrics or after
+    divergence."""
+    trace = run(scenario)
+    metrics = analyze_step(trace, band_pct) if len(trace) >= 2 else None
+    verdict = None
+    if requirement is not None and metrics is not None and not trace.diverged:
+        verdict = check_requirements(metrics, requirement)
+    return trace, metrics, verdict
+
+
 def max_control(trace: SimTrace) -> float:
     """Largest clamped command seen in the trace (signed maximum)."""
     return float(np.max(trace.u_sat))
@@ -399,6 +418,21 @@ class TrackingCase:
     ts: float = CONSTANTS.default_ts
     limits: ActuatorLimits = DEFAULT_LIMITS
     band_pct: float = CONSTANTS.default_band_pct
+
+    def step_scenario(
+        self, duration: float, disturbance: DisturbanceSpec | None = None
+    ) -> Scenario:
+        """The requirement's step, run for ``duration`` seconds."""
+        return Scenario(
+            plant=self.plant,
+            controller=self.controller,
+            reference=SignalSpec(shape="step", amplitude=self.requirement.amplitude),
+            duration=duration,
+            ts=self.ts,
+            limits=self.limits,
+            disturbance=disturbance,
+            label=self.label,
+        )
 
 
 @dataclass(frozen=True)
@@ -504,20 +538,9 @@ def _controller_kind(controller) -> str:
 
 def _run_tracking_case(case: TrackingCase) -> tuple[TrackingRow, SimTrace]:
     stable, duration = _case_duration(case)
-    scen = Scenario(
-        plant=case.plant,
-        controller=case.controller,
-        reference=SignalSpec(shape="step", amplitude=case.requirement.amplitude),
-        duration=duration,
-        ts=case.ts,
-        limits=case.limits,
-        label=case.label,
+    trace, metrics, verdict = run_and_judge(
+        case.step_scenario(duration), case.requirement, case.band_pct
     )
-    trace = run(scen)
-    metrics = verdict = None
-    if len(trace) >= 2:
-        metrics = analyze_step(trace, case.band_pct)
-        verdict = check_requirements(metrics, case.requirement)
     row = TrackingRow(
         label=case.label,
         controller_kind=_controller_kind(case.controller),
@@ -582,22 +605,11 @@ def _run_disturbance_case(
     if evaluated:
         tss = m.tss if m.tss and m.tss > 0.0 else 10.0 * case.ts
         onset = max(2.0 * tss, 20.0 * case.ts)
-        n_tail = max(1, int(round(0.05 * len(track_trace))))
-        u_ss = float(np.mean(track_trace.u_sat[-n_tail:]))
-        amp = magnitude_fraction * u_ss
-        scen = Scenario(
-            plant=case.plant,
-            controller=case.controller,
-            reference=SignalSpec(shape="step", amplitude=case.requirement.amplitude),
-            duration=onset + track_row.duration,
-            ts=case.ts,
-            limits=case.limits,
-            disturbance=DisturbanceSpec(
-                shape="step", amplitude=amp, start=onset, inject=inject
-            ),
-            label=case.label,
-        )
-        trace = run(scen)
+        amp = magnitude_fraction * float(np.mean(_tail(track_trace.u_sat)))
+        trace = run(case.step_scenario(
+            onset + track_row.duration,
+            DisturbanceSpec(shape="step", amplitude=amp, start=onset, inject=inject),
+        ))
         diverged = trace.diverged or len(trace) < 2
         if not diverged:
             dm = analyze_disturbance(trace, onset, case.band_pct)
@@ -609,7 +621,7 @@ def _run_disturbance_case(
         onset=onset,
         metrics=dm,
         rejected=dm is not None
-        and dm.final_error <= ESS_REL_TOL * abs(case.requirement.amplitude),
+        and within_ess(dm.final_error, case.requirement.amplitude),
         diverged=diverged,
         tracking=track_row,
     )

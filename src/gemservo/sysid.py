@@ -247,12 +247,6 @@ def fit_metrics(y: np.ndarray, y_hat: np.ndarray, n_params: int) -> FitMetrics:
     return FitMetrics(fit_pct=fit, mse=mse, fpe=fpe)
 
 
-def _zoh_block(a1: float, a0: float, ts: float) -> np.ndarray:
-    """[[A, B], [0, 0]] * ts for b0/(s^2 + a1 s + a0) in the phase-variable
-    form of ``lti.tf_to_ss``: the block ``lti.discretize_zoh`` exponentiates."""
-    return np.array([[0.0, 1.0, 0.0], [-a0, -a1, 1.0], [0.0, 0.0, 0.0]]) * ts
-
-
 # The sampled model in closed form. In the phase-variable form
 # A = [[0, 1], [-a0, -a1]], B = [0, 1]^T. With sigma = -a1/2 and
 # mu2 = sigma^2 - a0, (A - sigma I)^2 = mu2 I, so
@@ -364,7 +358,7 @@ def _hold_integral(sigma: float, mu2: float, a0: float, ts: float,
 
 
 def _zoh_rows(a1: float, a0: float, ts: float):
-    """The top rows (Ad | Bd) of exp(``_zoh_block(a1, a0, ts)``) and their
+    """The top rows (Ad | Bd) of exp(M), M = [[A, B], [0, 0]] ts, and their
     a1 and a0 derivatives, each as (a00, a01, bd0, a10, a11, bd1): the blocks
     the Van Loan exponential of the 9x9 block [[M, dM/da1, dM/da0], ...]
     holds, in closed form.

@@ -1,13 +1,18 @@
 """Tests for JSON loading/serialization: project data, controllers,
 scenarios, and the path-qualified error messages."""
 
+import copy
+import functools
 import json
 import math
+from importlib.resources import files
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gemservo.config import (
     ConfigError,
+    _read_json,
     bundled_scenario_names,
     controller_from_json,
     controller_to_json,
@@ -360,6 +365,82 @@ def test_scenario_label_must_be_a_json_string(tmp_path, value):
     assert load_scenario(p).scenario.label == ""
     p.write_text(json.dumps(_SCENARIO))
     assert load_scenario(p).scenario.label == "x"
+
+
+# ---------------------------------------------------------------------------
+# arbitrary JSON in a document
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _mutated(draw, documents):
+    """One of ``documents`` with the value at a drawn path through it
+    replaced by arbitrary JSON, or its key removed."""
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return draw(_JSON_VALUES)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return doc
+
+
+_DATA = files("gemservo") / "data"
+_FUZZED = {
+    "project": (
+        [json.loads((_DATA / "project.json").read_text())],
+        load_project,
+    ),
+    "scenario": (
+        [json.loads((_DATA / "scenarios" / f"{name}.json").read_text())
+         for name in bundled_scenario_names()] + [_SCENARIO],
+        functools.partial(load_scenario, project=load_project()),
+    ),
+    "geometry": (
+        [{"l1": 1.0, "l2": 0.5, "alpha_deg": 4.6}],
+        lambda path: geometry_from_json(_read_json(path, str(path)), str(path)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZED))
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_arbitrary_json_in_a_document_ends_in_config_error(tmp_path, kind, data):
+    # every loader error is a ConfigError naming the file and the JSON path,
+    # which the CLI turns into exit code 2; any other exception is a defect
+    documents, load = _FUZZED[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data.draw(_mutated(documents))))
+    try:
+        load(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(str(path))
+
+
+def test_a_project_section_that_is_not_an_object_is_path_qualified(tmp_path):
+    doc = json.loads((_DATA / "project.json").read_text())
+    path = tmp_path / "p.json"
+    for section in ("plants", "requirements", "controllers"):
+        path.write_text(json.dumps({**doc, section: "oops"}))
+        with pytest.raises(ConfigError) as info:
+            load_project(path)
+        assert str(info.value) == f"{path}.{section}: expected an object, got str"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Source hygiene: every module-level import in the package is used, no
-module imports scipy at all, each kind of input file has one reader, and
-each control law is spelled once."""
+module imports scipy at all, each kind of input file has one reader, each
+control law and each judging rule is spelled once, and every function the
+benchmark traces still exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gemservo"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gemservo"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -223,3 +226,85 @@ def test_windup_detector_flags_and_exempts(tmp_path):
         "    return hi if u_cmd > hi else (lo if u_cmd < lo else u_cmd)\n"
     )
     assert _windup_conditions(src) == ["mod.py:2", "mod.py:7", "mod.py:8"]
+
+
+def _is_constant(node: ast.AST, value: float) -> bool:
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _judging_rules(path: Path) -> list[str]:
+    """Places in a module that spell the tail window of a trace (a product
+    with 0.05, or a division by 20) or read ``ESS_REL_TOL``, as
+    ``file:line: what``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and (
+            isinstance(node.op, ast.Mult)
+            and (_is_constant(node.left, 0.05) or _is_constant(node.right, 0.05))
+            or isinstance(node.op, (ast.Div, ast.FloorDiv))
+            and _is_constant(node.right, 20)
+        ):
+            hits.append((node.lineno, f"{path.name}:{node.lineno}: tail window"))
+        names = (getattr(node, key, None) for key in ("id", "attr", "name"))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and (
+            "ESS_REL_TOL" in names
+        ):
+            hits.append((node.lineno, f"{path.name}:{node.lineno}: ESS_REL_TOL"))
+    return [hit for _, hit in sorted(hits)]
+
+
+def test_each_judging_rule_is_spelled_once():
+    # the tail window that settling and final values use, and the slack of
+    # the zero-error test, live in metrics (metrics._tail, within_ess); a
+    # second spelling elsewhere drifts from them
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    hits = [hit for path in modules for hit in _judging_rules(path)]
+    windows = [hit.split(":")[0] for hit in hits if hit.endswith("tail window")]
+    assert windows == ["metrics.py"]
+    assert {hit.split(":")[0] for hit in hits} == {"metrics.py"}
+
+
+def test_judging_rule_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from .metrics import ESS_REL_TOL\n"
+        "from . import metrics\n"
+        "def f(y, err, amp, n, rate):\n"
+        "    n_tail = max(1, int(round(0.05 * y.size)))\n"
+        "    ok = err <= metrics.ESS_REL_TOL * abs(amp)\n"
+        "    k = n // 20 + y.size * 0.05\n"
+        "    return 20.0 / rate, 20.0 * n, 0.05 + n, n / 2.0, n - 20\n"
+    )
+    assert _judging_rules(src) == [
+        "mod.py:1: ESS_REL_TOL",
+        "mod.py:4: tail window",
+        "mod.py:5: ESS_REL_TOL",
+        "mod.py:6: tail window",
+        "mod.py:6: tail window",
+    ]
+
+
+def _traced_functions() -> list[tuple[str, str]]:
+    """(module, attribute) of each entry of ``TARGETS`` in the benchmark's
+    ``perfbench/tracing.py``, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (targets,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def test_every_function_the_benchmark_traces_resolves():
+    # the tracer wraps these names where their callers look them up; a
+    # refactor that drops one breaks `perfbench/run.py --trace 1`
+    targets = _traced_functions()
+    assert len(targets) >= 20
+    missing = [
+        f"{module}.{attr}" for module, attr in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

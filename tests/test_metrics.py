@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemservo.config import load_project
 from gemservo.controllers import ActuatorLimits
@@ -138,6 +139,46 @@ def test_a_limit_cycle_is_not_settled():
     m = analyze_step(trace)
     assert not m.settled
     assert m.tss is None
+
+
+@st.composite
+def _settling_traces(draw):
+    """(trace starting at t = 0, band): a step answered by an output whose
+    error shrinks tenfold after a drawn sample, so it may settle anywhere."""
+    n = draw(st.integers(2, 120))
+    ts = draw(st.sampled_from([0.001, 0.01, 0.1, 0.3]))
+    r_final = draw(st.sampled_from([1.0, -2.5, 1e-3, 350.0]))
+    err = np.array(draw(st.lists(
+        st.floats(-0.1, 0.1, allow_subnormal=False), min_size=n, max_size=n
+    )))
+    err[draw(st.integers(0, n)):] *= 0.1
+    y = r_final * (1.0 + err)
+    y[0] = draw(st.sampled_from([0.0, 0.5 * r_final, 2.0 * r_final]))
+    trace = _trace(np.arange(n) * ts, np.full(n, r_final), y,
+                   diverged=draw(st.booleans()))
+    return trace, draw(st.sampled_from([0.5, 2.0, 5.0]))
+
+
+@settings(max_examples=400)
+@given(case=_settling_traces())
+def test_step_and_disturbance_share_one_settling_rule(case):
+    # a disturbance at t = 0 is a step response: the two analyzers must read
+    # the same settling, timed alike, and the same final error, and both
+    # follow the rule written out here by brute force
+    trace, band = case
+    step = analyze_step(trace, band)
+    dist = analyze_disturbance(trace, 0.0, band)
+    assert dist.recovered == step.settled
+    assert dist.recovery_time == step.tss
+    assert dist.final_error == step.ess
+    n, r_final = trace.y.size, trace.r[-1]
+    inside = np.abs(trace.y - r_final) <= band / 100.0 * abs(r_final)
+    first = next(k for k in range(n + 1) if inside[k:].all())
+    n_tail = max(1, round(0.05 * n))
+    if trace.diverged or first > n - n_tail:
+        assert step.tss is None
+    else:
+        assert step.tss == (0.0 if first == 0 else trace.t[first])
 
 
 def test_diverged_flag_forces_unsettled():

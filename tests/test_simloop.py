@@ -38,6 +38,7 @@ from gemservo.simloop import (
     max_control,
     read_trace_csv,
     run,
+    run_and_judge,
     run_disturbance_suite,
     run_tracking_suite,
     sampled_decay_rate,
@@ -630,6 +631,26 @@ def test_disturbance_suite_stable_loop_rejects():
     assert row.metrics is not None
     assert row.metrics.final_error <= 1e-6 * 10.0
     assert row.metrics.peak_dev_pct > 0.0
+
+
+def test_a_diverged_tracking_row_has_no_verdict():
+    # a diverged run is not judged against its requirement: the tracking row
+    # reads verdict None, as `simulate` reports "passed": null for the run
+    case = TrackingCase(
+        label="ascension velocity, destabilizing P",
+        plant=ASC_VEL,
+        controller=PidGains(-30_000.0, 0.0, 0.0),
+        requirement=PROJECT.requirements["ascension_velocity"],
+        limits=ActuatorLimits(-1e30, 1e30),
+    )
+    (row,) = run_tracking_suite([case])
+    assert not row.linearly_stable and row.diverged
+    assert row.metrics is not None and not row.metrics.settled
+    assert row.verdict is None
+    trace, metrics, verdict = run_and_judge(
+        case.step_scenario(row.duration), case.requirement
+    )
+    assert trace.diverged and metrics == row.metrics and verdict is None
 
 
 def test_disturbance_suite_null_disturbance():

@@ -474,6 +474,12 @@ def test_fit_rejects_a_guess_whose_simulation_overflows():
             fit_second_order(ds, initial_guess=(1.0, -400.0, 1.0))
 
 
+def _zoh_block(a1: float, a0: float, ts: float) -> np.ndarray:
+    """[[A, B], [0, 0]] * ts for b0/(s^2 + a1 s + a0) in the phase-variable
+    form of ``lti.tf_to_ss``: the block ``lti.discretize_zoh`` exponentiates."""
+    return np.array([[0.0, 1.0, 0.0], [-a0, -a1, 1.0], [0.0, 0.0, 0.0]]) * ts
+
+
 _COST_CASES = dict(
     b0=st.floats(1e-3, 10.0),
     a1=st.floats(-5.0, 300.0),
@@ -491,7 +497,7 @@ def test_cost_residual_matches_lti_simulate(b0, a1, a0, ts, n, seed):
     # float recursion of lti.simulate, so both the closed-form sampled model
     # and the blocked convolution of _cost are compared
     u = 250_000.0 * np.random.default_rng(seed).standard_normal(n)
-    phi = expm(sysid._zoh_block(a1, a0, ts))
+    phi = expm(_zoh_block(a1, a0, ts))
     model = DiscreteStateSpace(phi[:2, :2], phi[:2, 2:], [[b0, 0.0]], [[0.0]], ts)
     ref, _ = simulate(model, u)
     r, _ = sysid._cost(np.array([b0, a1, a0]), u, np.zeros(n), ts)
@@ -564,7 +570,7 @@ def _van_loan_block(a1: float, a0: float, ts: float) -> np.ndarray:
     """[[M, dM/da1, dM/da0], [0, M, 0], [0, 0, M]] for M = ``_zoh_block``:
     its exponential holds exp(M) and its a1 and a0 derivatives in the top
     rows (Van Loan, 1978)."""
-    m = sysid._zoh_block(a1, a0, ts)
+    m = _zoh_block(a1, a0, ts)
     big = np.zeros((9, 9))
     for k in range(0, 9, 3):
         big[k:k + 3, k:k + 3] = m
@@ -607,7 +613,7 @@ def test_closed_form_zoh_agrees_with_scipy_expm(case):
     # the 40-digit value, the closed form's 2e-16.
     a1, a0, ts = case
     base, d_a1, d_a0 = (np.reshape(b, (2, 3)) for b in sysid._zoh_rows(a1, a0, ts))
-    block = sysid._zoh_block(a1, a0, ts)
+    block = _zoh_block(a1, a0, ts)
     phi = expm(block)[:2]
     tol = _ZOH_RTOL * max(1.0, np.linalg.norm(block, 1))
     for got, want in ((base[:, :2], phi[:, :2]), (base[:, 2:], phi[:, 2:])):
