@@ -5,6 +5,9 @@ assertion failure, 2 usage/config error, 3 numerical divergence. All outputs
 are deterministic: rerunning a command with unchanged inputs produces
 byte-identical files and console text. Angles cross this boundary in
 degrees, control signals in Hz, times in seconds.
+
+Each command returns its exit code, its document and the text lines rendered
+from it; only :func:`main` writes stdout, the one or the other (``--json``).
 """
 
 from __future__ import annotations
@@ -60,6 +63,24 @@ def _g(x: float | None, nd: str = "%.6g") -> str:
     return nd % x
 
 
+def _num(*path: str, nd: str = "%.4g"):
+    """Text cell of the number at ``path`` in a row doc; "-" where absent."""
+
+    def cell(doc: dict) -> str:
+        for key in path:
+            doc = (doc or {}).get(key)
+        return _g(doc, nd)
+
+    return cell
+
+
+def _table(title: str, columns, docs: list[dict]) -> str:
+    """Text table of row docs, a column for each ``(header, cell)`` pair."""
+    header = [h for h, _ in columns]
+    cells = [[cell(d) for _, cell in columns] for d in docs]
+    return table_report(header, cells, title=title)
+
+
 def _json_dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -82,8 +103,18 @@ def _metrics_doc(m: StepMetrics | None) -> dict | None:
 
 # ---------------------------------------------------------------- identify
 
+_DATASETS = [
+    ("dataset", lambda d: d["label"]),
+    ("fit %", _num("fit_pct", nd="%.2f")),
+    ("fpe", _num("fpe")),
+    ("mse", _num("mse")),
+    ("converged", lambda d: "yes" if d["converged"] else "no"),
+    ("stable", lambda d: "yes" if d["stable"] else "no"),
+    ("sel", lambda d: "*" if d["selected"] else ""),
+]
 
-def cmd_identify(args) -> int:
+
+def cmd_identify(args) -> tuple[int, dict, list[str]]:
     reports = []
     for path in args.datasets:
         ds = load_dataset(path)
@@ -95,92 +126,75 @@ def cmd_identify(args) -> int:
     winner = reports[best]
 
     out = _out_dir(args)
-    model_path = out / "model_velocity.json"
-    _write_text(model_path, _json_dump(model_report_to_json(winner)))
-    written = [str(model_path)]
-    position = None
-    if args.augment:
-        position = integrator_augment(winner.model)
-        pos_path = out / "model_position.json"
-        _write_text(pos_path, _json_dump(tf_to_json(position)))
-        written.append(str(pos_path))
+    model = model_report_to_json(winner)
+    position = tf_to_json(integrator_augment(winner.model)) if args.augment else None
+    written = []
+    for name, part in (("model_velocity", model), ("model_position", position)):
+        if part is not None:
+            path = out / f"{name}.json"
+            _write_text(path, _json_dump(part))
+            written.append(str(path))
 
-    if args.json:
-        doc = {
-            "datasets": [
-                {
-                    "label": r.label,
-                    "fit_pct": r.fit_pct,
-                    "fpe": r.fpe,
-                    "mse": r.mse,
-                    "converged": r.converged,
-                    "stable": r.stable,
-                    "selected": i == best,
-                }
-                for i, r in enumerate(reports)
-            ],
-            "winner": winner.label,
-            "model": model_report_to_json(winner),
-            "position_model": tf_to_json(position) if position else None,
-            "files": written,
-        }
-        sys.stdout.write(_json_dump(doc))
-    else:
-        rows = [
-            [
-                r.label,
-                _g(r.fit_pct, "%.2f"),
-                _g(r.fpe, "%.4g"),
-                _g(r.mse, "%.4g"),
-                "yes" if r.converged else "no",
-                "yes" if r.stable else "no",
-                "*" if i == best else "",
-            ]
+    doc = {
+        "datasets": [
+            {
+                "label": r.label,
+                "fit_pct": r.fit_pct,
+                "fpe": r.fpe,
+                "mse": r.mse,
+                "converged": r.converged,
+                "stable": r.stable,
+                "selected": i == best,
+            }
             for i, r in enumerate(reports)
-        ]
-        print(
-            table_report(
-                ["dataset", "fit %", "fpe", "mse", "converged", "stable", "sel"],
-                rows,
-                title="dataset comparison (higher fit, lower fpe/mse is better)",
-            )
-        )
-        print(f"selected: {winner.label}")
-        print(f"model: {winner.model}")
-        for path in written:
-            print(f"wrote {path}")
-    return EXIT_PASS
+        ],
+        "winner": winner.label,
+        "model": model,
+        "position_model": position,
+        "files": written,
+    }
+    lines = [
+        _table(
+            "dataset comparison (higher fit, lower fpe/mse is better)",
+            _DATASETS,
+            doc["datasets"],
+        ),
+        f"selected: {winner.label}",
+        f"model: {winner.model}",
+    ]
+    lines += [f"wrote {path}" for path in written]
+    return EXIT_PASS, doc, lines
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _metrics_line(m: StepMetrics) -> str:
+def _metrics_line(m: dict) -> str:
     return (
-        f"tss: {_g(m.tss)} s  os: {_g(m.os_pct, '%.4g')} %  "
-        f"ess: {_g(m.ess, '%.4g')}  settled: {'yes' if m.settled else 'no'}  "
-        f"y_final: {_g(m.y_final)}"
+        f"tss: {_g(m['tss'])} s  os: {_g(m['os_pct'], '%.4g')} %  "
+        f"ess: {_g(m['ess'], '%.4g')}  settled: {'yes' if m['settled'] else 'no'}  "
+        f"y_final: {_g(m['y_final'])}"
     )
 
 
-def _simulate_summary(loaded, trace, m, verdict, limits, doc) -> list[str]:
-    lines = [f"scenario: {loaded.scenario.label or loaded.name}"]
+def _simulate_summary(doc, trace, verdict, u_min: float) -> list[str]:
+    lines = [f"scenario: {doc['label'] or doc['scenario']}"]
     lines.append(
         f"samples: {len(trace)}  ts: {_g(trace.ts)} s  "
         f"duration: {_g(trace.t[-1])} s"
     )
-    if trace.diverged:
+    if doc["diverged"]:
         lines.append("DIVERGED: output magnitude exceeded the divergence guard")
-    if m is not None:
-        lines.append(_metrics_line(m))
+    if doc["metrics"] is not None:
+        lines.append(_metrics_line(doc["metrics"]))
     lines.append(
         f"max control: {_g(doc['max_control'])} Hz  "
-        f"saturation: {100.0 * trace.saturation_fraction:.2f} % of samples"
+        f"saturation: {100.0 * doc['saturation_fraction']:.2f} % of samples"
     )
     n_neg = doc["clipped_low_samples"]
     if n_neg:
         lines.append(
-            f"note: {n_neg} command sample(s) fell below the {_g(limits.u_min)} Hz "
+            f"note: {n_neg} command sample(s) fell below the {_g(u_min)} Hz "
             "lower limit and were clipped (negative drive commands are not "
             "physically realizable)"
         )
@@ -195,7 +209,7 @@ def _simulate_summary(loaded, trace, m, verdict, limits, doc) -> list[str]:
     return lines
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict, list[str]]:
     project = load_project()
     loaded = load_scenario(args.scenario, project=project, ts_override=args.ts)
     scenario = loaded.scenario
@@ -229,52 +243,37 @@ def cmd_simulate(args) -> int:
     metrics_path = out / f"{loaded.name}_metrics.json"
     _write_text(metrics_path, _json_dump(doc))
 
-    if args.json:
-        sys.stdout.write(_json_dump(doc))
-    else:
-        for line in _simulate_summary(loaded, trace, m, verdict, limits, doc):
-            print(line)
-        print(f"wrote {trace_path}")
-        print(f"wrote {metrics_path}")
-
+    lines = _simulate_summary(doc, trace, verdict, limits.u_min)
+    lines += [f"wrote {trace_path}", f"wrote {metrics_path}"]
     if trace.diverged:
-        return EXIT_DIVERGED
-    if verdict is not None and not verdict.passed:
-        return EXIT_FAIL
-    return EXIT_PASS
+        return EXIT_DIVERGED, doc, lines
+    return (EXIT_FAIL if doc["passed"] is False else EXIT_PASS), doc, lines
 
 
 # ---------------------------------------------------------------- workspace
 
 
-def cmd_workspace(args) -> int:
+def cmd_workspace(args) -> tuple[int, dict, list[str]]:
     if args.geometry:
         raw = _read_json(args.geometry, args.geometry)
         geom = geometry_from_json(raw, str(Path(args.geometry)))
     elif args.l1 is not None or args.l2 is not None or args.alpha is not None:
         if args.l1 is None or args.l2 is None or args.alpha is None:
             raise ConfigError("--l1, --l2 and --alpha must be given together")
-        try:
-            geom = MountGeometry(l1=args.l1, l2=args.l2, alpha=math.radians(args.alpha))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        geom = MountGeometry(l1=args.l1, l2=args.l2, alpha=math.radians(args.alpha))
     else:
         geom = load_project().geometry
 
     t1 = (math.radians(args.theta1_min), math.radians(args.theta1_max))
     t2 = (math.radians(args.theta2_min), math.radians(args.theta2_max))
-    try:
-        pts = workspace(geom, args.n1, args.n2, theta1_range=t1, theta2_range=t2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    pts = workspace(geom, args.n1, args.n2, theta1_range=t1, theta2_range=t2)
 
     out = _out_dir(args)
     csv_path = out / "workspace.csv"
     write_workspace_csv(pts, csv_path)
-    radius = math.sqrt(geom.l1**2 + geom.l2**2)
     doc = {
         "points": int(pts.shape[0]),
-        "radius": radius,
+        "radius": math.sqrt(geom.l1**2 + geom.l2**2),
         "l1": geom.l1,
         "l2": geom.l2,
         "alpha_deg": math.degrees(geom.alpha),
@@ -282,29 +281,27 @@ def cmd_workspace(args) -> int:
         "z_max": float(pts[:, 4].max()),
         "csv": str(csv_path),
     }
-    if args.json:
-        sys.stdout.write(_json_dump(doc))
-    else:
-        print(
-            f"geometry: l1={_g(geom.l1)} m, l2={_g(geom.l2)} m, "
-            f"alpha={_g(math.degrees(geom.alpha))} deg"
-        )
-        print(
-            f"{doc['points']} samples on the radius-{_g(radius, '%.6g')} m "
-            f"sphere, z in [{_g(doc['z_min'])}, {_g(doc['z_max'])}] m"
-        )
-        print(f"wrote {csv_path}")
-    return EXIT_PASS
+    lines = [
+        f"geometry: l1={_g(doc['l1'])} m, l2={_g(doc['l2'])} m, "
+        f"alpha={_g(doc['alpha_deg'])} deg",
+        f"{doc['points']} samples on the radius-{_g(doc['radius'])} m "
+        f"sphere, z in [{_g(doc['z_min'])}, {_g(doc['z_max'])}] m",
+        f"wrote {doc['csv']}",
+    ]
+    return EXIT_PASS, doc, lines
 
 
 # ---------------------------------------------------------------- metrics
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> tuple[int, dict, list[str]]:
     trace = simloop.read_trace_csv(args.trace)
     project = load_project()
     band = args.band if args.band is not None else project.band_pct
-    m = analyze_step(trace, band)
+    try:
+        m = analyze_step(trace, band)
+    except ValueError as exc:
+        raise ValueError(f"{args.trace}: {exc}") from None
 
     verdict = None
     if args.check:
@@ -323,16 +320,11 @@ def cmd_metrics(args) -> int:
         "requirement": args.check or None,
         "passed": None if verdict is None else verdict.passed,
     }
-    if args.json:
-        sys.stdout.write(_json_dump(doc))
-    else:
-        print(_metrics_line(m))
-        print(f"max control: {_g(doc['max_control'])} Hz")
-        if verdict is not None:
-            print(f"requirement {args.check}: {'PASS' if verdict.passed else 'FAIL'}")
-    if verdict is not None and not verdict.passed:
-        return EXIT_FAIL
-    return EXIT_PASS
+    lines = [_metrics_line(doc["metrics"]), f"max control: {_g(doc['max_control'])} Hz"]
+    if doc["passed"] is not None:
+        verdict_text = "PASS" if doc["passed"] else "FAIL"
+        lines.append(f"requirement {doc['requirement']}: {verdict_text}")
+    return (EXIT_FAIL if doc["passed"] is False else EXIT_PASS), doc, lines
 
 
 # ---------------------------------------------------------------- reproduce
@@ -368,23 +360,25 @@ def _ref(project: Project, table: str, kind: str, system: str):
     return project.reference_results.get(table, {}).get(kind, {}).get(system, {})
 
 
-def _tracking_docs(project, rows) -> list[dict]:
-    docs = []
-    for (system, kind), row in zip(_STUDY_ORDER, rows):
-        req = project.requirements[system]
+def _study_docs(project: Project, drows) -> dict[str, list[dict]]:
+    """The tracking, disturbance and max-control row docs of each study case."""
+    docs = {"tracking": [], "disturbance": [], "max_control": []}
+    for (system, kind), drow in zip(_STUDY_ORDER, drows):
+        loop = {"system": system, "kind": kind}
+
+        row = drow.tracking
         m = row.metrics
         settled = bool(m is not None and m.settled)
         # the integral-action property backs the ess cell only when the loop
         # actually converged; limit-cycling or stuck loops are reported as-is
         if row.linearly_stable and settled:
-            ess_ok = within_ess(m.ess, req.amplitude)
+            ess_ok = within_ess(m.ess, project.requirements[system].amplitude)
             ess_status = _ASSERT_OK if ess_ok else _ASSERT_FAIL
         else:
             ess_status = _REPORTED
-        docs.append(
+        docs["tracking"].append(
             {
-                "system": system,
-                "kind": kind,
+                **loop,
                 "linearly_stable": row.linearly_stable,
                 "settled": settled,
                 "metrics": _metrics_doc(m),
@@ -392,51 +386,39 @@ def _tracking_docs(project, rows) -> list[dict]:
                 "ess_status": ess_status,
             }
         )
-    return docs
 
-
-def _disturbance_docs(project, drows) -> list[dict]:
-    docs = []
-    for (system, kind), row in zip(_STUDY_ORDER, drows):
-        doc = {
-            "system": system,
-            "kind": kind,
+        dist = {
+            **loop,
             "evaluated": False,
             "reference": _ref(project, "disturbance", kind, system),
         }
-        if not row.evaluated or row.metrics is None:
-            doc["status"] = (
-                "diverged" if row.diverged
+        if not drow.evaluated or drow.metrics is None:
+            dist["status"] = (
+                "diverged" if drow.diverged
                 else "not evaluated (loop does not settle)"
             )
         else:
-            dm = row.metrics
-            doc.update(
+            dm = drow.metrics
+            dist.update(
                 evaluated=True,
-                amplitude=row.amplitude,
-                onset=row.onset,
+                amplitude=drow.amplitude,
+                onset=drow.onset,
                 peak_dev_pct=dm.peak_dev_pct,
                 recovery_time=dm.recovery_time,
                 final_error=dm.final_error,
-                status=_ASSERT_OK if row.rejected else _ASSERT_FAIL,
+                status=_ASSERT_OK if drow.rejected else _ASSERT_FAIL,
             )
-        docs.append(doc)
-    return docs
+        docs["disturbance"].append(dist)
 
-
-def _max_control_docs(project, rows) -> list[dict]:
-    docs = []
-    for (system, kind), row in zip(_STUDY_ORDER, rows):
-        ref = _ref(project, "max_control_khz", kind, system)
         if kind == "pid" and row.upper_saturated:
             cell_ok = row.max_control == CONSTANTS.actuator_max_hz
             status = _ASSERT_OK if cell_ok else _ASSERT_FAIL
         else:
             status = _REPORTED
-        docs.append(
+        ref = _ref(project, "max_control_khz", kind, system)
+        docs["max_control"].append(
             {
-                "system": system,
-                "kind": kind,
+                **loop,
                 "max_control_khz": row.max_control / 1000.0,
                 "reference_khz": ref if isinstance(ref, (int, float)) else None,
                 "saturation_pct": 100.0 * row.saturation_fraction,
@@ -445,17 +427,6 @@ def _max_control_docs(project, rows) -> list[dict]:
             }
         )
     return docs
-
-
-def _num(*path: str, nd: str = "%.4g"):
-    """Text cell of the number at ``path`` in a row doc; "-" where absent."""
-
-    def cell(doc: dict) -> str:
-        for key in path:
-            doc = (doc or {}).get(key)
-        return _g(doc, nd)
-
-    return cell
 
 
 _LOOP = [("loop", lambda d: d["system"]), ("ctrl", lambda d: d["kind"])]
@@ -515,17 +486,11 @@ def _scenario_line(d: dict) -> str:
     return f"  {d['name']}: {state}{note}"
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[int, dict, list[str]]:
     project = load_project()
     band = args.band if args.band is not None else project.band_pct
     drows = simloop.run_disturbance_suite(_study_cases(project, band))
-    rows = [drow.tracking for drow in drows]
-    doc = {
-        "tracking": _tracking_docs(project, rows),
-        "disturbance": _disturbance_docs(project, drows),
-        "max_control": _max_control_docs(project, rows),
-        "scenarios": [],
-    }
+    doc = {**_study_docs(project, drows), "scenarios": []}
     all_ok = not any(
         _ASSERT_FAIL in (d.get("status"), d.get("ess_status"))
         for key, _, _ in _TABLES
@@ -548,30 +513,31 @@ def cmd_reproduce(args) -> int:
             }
         )
 
-    report_path = _out_dir(args) / "reproduce.json" if args.out else None
-    if report_path:
+    lines = []
+    for key, title, columns in _TABLES:
+        lines += [_table(title, columns, doc[key]), ""]
+    lines += ["bundled scenarios:"] + [_scenario_line(d) for d in doc["scenarios"]]
+    verdict = "all passed" if all_ok else "FAILURES present (see tables)"
+    lines += ["", f"asserted cells: {verdict}"]
+    if args.out:
+        report_path = _out_dir(args) / "reproduce.json"
         _write_text(report_path, _json_dump(doc))
-    if args.json:
-        sys.stdout.write(_json_dump(doc))
-    else:
-        for key, title, columns in _TABLES:
-            header = [h for h, _ in columns]
-            cells = [[cell(d) for _, cell in columns] for d in doc[key]]
-            print(table_report(header, cells, title=title))
-            print()
-        scen_lines = [_scenario_line(d) for d in doc["scenarios"]]
-        print("\n".join(["bundled scenarios:"] + scen_lines))
-        print()
-        print(
-            "asserted cells: "
-            + ("all passed" if all_ok else "FAILURES present (see tables)")
-        )
-        if report_path:
-            print(f"wrote {report_path}")
-    return EXIT_PASS if all_ok else EXIT_FAIL
+        lines.append(f"wrote {report_path}")
+    return (EXIT_PASS if all_ok else EXIT_FAIL), doc, lines
 
 
 # ---------------------------------------------------------------- main
+
+
+def _band(text: str) -> float:
+    """The value of ``--band``: a positive, finite percentage."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -586,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     banded = argparse.ArgumentParser(add_help=False, parents=[common])
     banded.add_argument(
         "--band",
-        type=float,
+        type=_band,
         default=None,
         help="settling band, percent (default: project setting, 2)",
     )
@@ -701,7 +667,11 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PASS
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        sys.stdout.write(
+            _json_dump(doc) if args.json else "".join(f"{x}\n" for x in lines)
+        )
+        return code
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,7 @@ __all__ = [
     "RequirementVerdict",
     "analyze_step",
     "analyze_disturbance",
+    "has_step",
     "check_requirements",
     "within_ess",
     "table_report",
@@ -142,6 +143,12 @@ def within_ess(err: float, amplitude: float, ess_max: float = 0.0) -> bool:
     return err <= ess_max + ESS_REL_TOL * abs(amplitude)
 
 
+def has_step(trace) -> bool:
+    """Whether the trace's final reference differs from its first output:
+    step metrics are defined only then."""
+    return float(trace.r[-1]) - float(trace.y[0]) != 0.0
+
+
 def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMetrics:
     """Extract tss, %OS and ess from a step-response trace.
 
@@ -156,10 +163,10 @@ def analyze_step(trace, band_pct: float = CONSTANTS.default_band_pct) -> StepMet
     ``diverged``), so simulation traces and hand-built records both work.
     """
     t, r, y, diverged = _trace_arrays(trace, band_pct)
+    if not has_step(trace):
+        raise ValueError("reference step size is zero; step metrics are undefined")
     r_final = float(r[-1])
     step = r_final - float(y[0])
-    if step == 0.0:
-        raise ValueError("reference step size is zero; step metrics are undefined")
 
     y_final = float(np.mean(_tail(y)))
     ess = abs(r_final - y_final)

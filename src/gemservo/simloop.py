@@ -59,6 +59,7 @@ from .metrics import (
     analyze_disturbance,
     analyze_step,
     check_requirements,
+    has_step,
     within_ess,
 )
 from .sysid import _read_columns
@@ -360,11 +361,12 @@ def run_and_judge(
     band_pct: float = CONSTANTS.default_band_pct,
 ) -> tuple[SimTrace, StepMetrics | None, RequirementVerdict | None]:
     """Run the scenario and judge its step response: (trace, metrics,
-    verdict). The metrics are None for a trace of under 2 samples, and the
-    verdict is None without a requirement, without metrics or after
-    divergence."""
+    verdict). The metrics are None for a trace of under 2 samples or one
+    whose reference does not step (a disturbance-only run), and the verdict
+    is None without a requirement, without metrics or after divergence."""
     trace = run(scenario)
-    metrics = analyze_step(trace, band_pct) if len(trace) >= 2 else None
+    stepped = len(trace) >= 2 and has_step(trace)
+    metrics = analyze_step(trace, band_pct) if stepped else None
     verdict = None
     if requirement is not None and metrics is not None and not trace.diverged:
         verdict = check_requirements(metrics, requirement)

@@ -169,6 +169,33 @@ def test_simulate_scenario_errors_name_the_file(tmp_path, capsys, change, messag
         assert err.startswith(f"error: {path}: {message}")
 
 
+def test_simulate_disturbance_only_scenario_has_no_step_metrics(tmp_path,
+                                                              capsys):
+    # a zero reference under a load step has no step to measure: the run
+    # reports no step metrics and no verdict, and still writes its trace
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({
+        "plant": "declination_velocity",
+        "controller": "declination_velocity_pid",
+        "reference": {"shape": "step", "amplitude": 0.0},
+        "disturbance": {"shape": "step", "amplitude": 1000.0, "start": 1.0},
+        "requirement": "declination_velocity",
+        "duration": 3.0,
+    }))
+    code, out, err = run_cli(
+        ["simulate", str(path), "--json", "--out", str(tmp_path)], capsys
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["metrics"] is None and doc["passed"] is None
+    trace = read_trace_csv(tmp_path / "dist_trace.csv")
+    assert len(trace) == 301 and np.all(trace.r == 0.0)
+    code, out, _ = run_cli(["simulate", str(path), "--out", str(tmp_path)],
+                           capsys)
+    assert code == 0
+    assert "tss:" not in out and "requirement:" not in out
+
+
 def test_simulate_json_mode_matches_metrics_file(tmp_path, capsys):
     code, out, err = run_cli(
         ["simulate", "ascension_velocity_sf", "--json", "--out", str(tmp_path)],
@@ -423,6 +450,32 @@ def test_workspace_geometry_file_and_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_workspace_output_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        ["workspace", "--n1", "4", "--n2", "5", "--out", "out"], capsys
+    )
+    assert code == 0
+    assert out.encode() == (DATA / "workspace.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--l1", "-1", "--l2", "1", "--alpha", "0"],
+         "l1 must be positive, got -1.0"),
+        (["--n1", "1"], "grid needs at least 2 points per axis, got 1 x 60"),
+    ],
+)
+def test_workspace_bad_geometry_or_grid_exits_two(tmp_path, capsys, argv,
+                                                  message):
+    code, out, err = run_cli(["workspace", *argv, "--out", str(tmp_path)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "workspace.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -435,15 +488,32 @@ def test_metrics_check_pass_and_fail(tmp_path, capsys):
     )
     assert code == 0
     assert "requirement ascension_velocity: PASS" in out
-    # same trace against the much tighter declination velocity budget
+    # same trace against the looser declination velocity budget
     code, out, err = run_cli(
         ["metrics", trace, "--check", "declination_velocity", "--json"], capsys
     )
-    doc = json.loads(out)
-    assert doc["passed"] in (True, False)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
     code, out, err = run_cli(["metrics", trace, "--check", "bogus"], capsys)
     assert code == 2
     assert "unknown requirement" in err
+
+
+def test_metrics_failed_check_exits_one(tmp_path, capsys):
+    # the PID replay settles in 0.57 s, past the 0.5 s declination budget
+    run_cli(["simulate", "declination_velocity_pid", "--out", str(tmp_path)],
+            capsys)
+    trace = str(tmp_path / "declination_velocity_pid_trace.csv")
+    code, out, err = run_cli(
+        ["metrics", trace, "--check", "declination_velocity"], capsys
+    )
+    assert code == 1
+    assert out.endswith("requirement declination_velocity: FAIL\n")
+    code, out, err = run_cli(
+        ["metrics", trace, "--check", "declination_velocity", "--json"], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_metrics_band_changes_the_verdict(tmp_path, capsys):
@@ -455,6 +525,36 @@ def test_metrics_band_changes_the_verdict(tmp_path, capsys):
     wide = json.loads(run_cli(["metrics", trace, "--band", "10", "--json"],
                               capsys)[1])
     assert wide["metrics"]["tss"] <= doc["metrics"]["tss"]
+
+
+def test_metrics_errors_name_the_trace(tmp_path, capsys):
+    trace = tmp_path / "zero.csv"
+    trace.write_text("t,r,e,u,u_sat,y\n0,0,0,0,0,0\n0.01,0,0,0,0,0\n")
+    code, out, err = run_cli(["metrics", str(trace)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {trace}: reference step size is zero; step metrics are "
+        "undefined\n"
+    )
+
+
+@pytest.mark.parametrize("band", ["0", "-1", "nan", "inf", "wide"])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "ascension_velocity_sf"], ["metrics", "trace.csv"],
+     ["reproduce"]],
+    ids=["simulate", "metrics", "reproduce"],
+)
+def test_band_must_be_a_positive_number(tmp_path, monkeypatch, capsys, argv,
+                                        band):
+    # refused where it is parsed, naming the flag, before anything runs
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv + ["--band", band], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --band: must be a positive number, got {band!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_metrics_missing_trace_exits_two(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import in the package is used, no
 module imports scipy at all, each kind of input file has one reader, each
-control law and each judging rule is spelled once, and every function the
-benchmark traces still exists."""
+control law and each judging rule is spelled once, every function the
+benchmark traces still exists, and only ``cli.main`` writes stdout."""
 
 import ast
 import importlib
@@ -308,3 +308,62 @@ def test_every_function_the_benchmark_traces_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def _stdout_writes(path: Path, writer: str | None = "main") -> list[str]:
+    """Calls in a module that write stdout (``print`` without
+    ``file=sys.stderr``, and ``sys.stdout.write``) outside its top-level
+    function ``writer``, as ``file:line: call``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = [
+        node for node in tree.body
+        if not (isinstance(node, ast.FunctionDef) and node.name == writer)
+    ]
+    hits = []
+    for node in (n for top in outside for n in ast.walk(top)):
+        if not isinstance(node, ast.Call):
+            continue
+        call = ast.unparse(node.func)
+        to_stderr = any(
+            k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+            for k in node.keywords
+        )
+        if call == "print" and not to_stderr or call == "sys.stdout.write":
+            hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
+    return [hit for _, hit in sorted(hits)]
+
+
+def test_only_cli_main_writes_stdout():
+    # each command returns its document and text lines, and main prints one
+    # of the two; a command that printed would write text under --json
+    cli = PACKAGE / "cli.py"
+    assert _stdout_writes(cli) == []
+    assert [hit.split(": ")[1] for hit in _stdout_writes(cli, writer=None)] == [
+        "sys.stdout.write"
+    ]
+
+
+def test_stdout_write_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import sys\n"
+        "def f(doc):\n"
+        "    print(doc)\n"
+        "    print('x', file=sys.stderr)\n"
+        "    sys.stdout.write(doc)\n"
+        "    print(doc, file=sys.stdout)\n"
+        "    sys.stderr.write(doc)\n"
+        "def main():\n"
+        "    print('usage')\n"
+        "    sys.stdout.write('x')\n"
+        "class K:\n"
+        "    def main(self):\n"
+        "        print(self)\n"
+    )
+    assert _stdout_writes(src) == [
+        "mod.py:3: print",
+        "mod.py:5: sys.stdout.write",
+        "mod.py:6: print",
+        "mod.py:13: print",
+    ]
+    assert len(_stdout_writes(src, writer=None)) == 6

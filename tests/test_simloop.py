@@ -653,6 +653,23 @@ def test_a_diverged_tracking_row_has_no_verdict():
     assert trace.diverged and metrics == row.metrics and verdict is None
 
 
+def test_a_run_whose_reference_does_not_step_has_no_step_metrics():
+    # a disturbance-only run has no step to measure; analyze_step itself
+    # still refuses such a trace
+    scenario = _step_scenario(
+        DECL_VEL, PROJECT.controllers["declination_velocity_pid"],
+        amplitude=0.0, duration=3.0,
+        disturbance=DisturbanceSpec(shape="step", amplitude=1000.0, start=1.0),
+    )
+    trace, metrics, verdict = run_and_judge(
+        scenario, PROJECT.requirements["declination_velocity"]
+    )
+    assert len(trace) == 301 and np.ptp(trace.y) > 0.0
+    assert metrics is None and verdict is None
+    with pytest.raises(ValueError, match="step size is zero"):
+        analyze_step(trace)
+
+
 def test_disturbance_suite_null_disturbance():
     case = TrackingCase(
         label="declination velocity, bundled PID",
