@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, simloop
 from .config import (
     ConfigError,
@@ -40,8 +38,8 @@ from .metrics import (
     StepMetrics,
     analyze_step,
     check_requirements,
+    ess_bound,
     table_report,
-    within_ess,
 )
 from .sysid import fit_second_order, integrator_augment, load_dataset, select_best
 
@@ -223,7 +221,6 @@ def cmd_simulate(args) -> tuple[int, dict, list[str]]:
         trace, m, verdict = simloop.run_and_judge(scenario, loaded.requirement, band)
     except ValueError as exc:
         raise ValueError(f"{args.scenario}: {exc}") from None
-    limits = scenario.effective_limits()
 
     out = _out_dir(args)
     trace_path = out / f"{loaded.name}_trace.csv"
@@ -234,8 +231,8 @@ def cmd_simulate(args) -> tuple[int, dict, list[str]]:
         "metrics": _metrics_doc(m),
         "max_control": simloop.max_control(trace),
         "saturation_fraction": trace.saturation_fraction,
-        "clipped_low_samples": int(np.sum(trace.u < limits.u_min)),
-        "clipped_high_samples": int(np.sum(trace.u > limits.u_max)),
+        "clipped_low_samples": trace.clipped_low,
+        "clipped_high_samples": trace.clipped_high,
         "diverged": trace.diverged,
         "passed": None if verdict is None else verdict.passed,
         "trace_csv": str(trace_path),
@@ -243,7 +240,8 @@ def cmd_simulate(args) -> tuple[int, dict, list[str]]:
     metrics_path = out / f"{loaded.name}_metrics.json"
     _write_text(metrics_path, _json_dump(doc))
 
-    lines = _simulate_summary(doc, trace, verdict, limits.u_min)
+    # load_scenario always sets limits, the project's when the file has none
+    lines = _simulate_summary(doc, trace, verdict, scenario.limits.u_min)
     lines += [f"wrote {trace_path}", f"wrote {metrics_path}"]
     if trace.diverged:
         return EXIT_DIVERGED, doc, lines
@@ -372,7 +370,7 @@ def _study_docs(project: Project, drows) -> dict[str, list[dict]]:
         # the integral-action property backs the ess cell only when the loop
         # actually converged; limit-cycling or stuck loops are reported as-is
         if row.linearly_stable and settled:
-            ess_ok = within_ess(m.ess, project.requirements[system].amplitude)
+            ess_ok = m.ess <= ess_bound(project.requirements[system].amplitude)
             ess_status = _ASSERT_OK if ess_ok else _ASSERT_FAIL
         else:
             ess_status = _REPORTED
@@ -503,13 +501,12 @@ def cmd_reproduce(args) -> tuple[int, dict, list[str]]:
         trace, _, verdict = simloop.run_and_judge(
             loaded.scenario, loaded.requirement, band
         )
-        u_min = loaded.scenario.effective_limits().u_min
         doc["scenarios"].append(
             {
                 "name": name,
                 "diverged": trace.diverged,
                 "passed": None if verdict is None else verdict.passed,
-                "clipped_low_samples": int(np.sum(trace.u < u_min)),
+                "clipped_low_samples": trace.clipped_low,
             }
         )
 
@@ -529,14 +526,25 @@ def cmd_reproduce(args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------- main
 
 
-def _band(text: str) -> float:
-    """The value of ``--band``: a positive, finite percentage."""
+def _positive(text: str) -> float:
+    """The value of ``--band`` or ``--ts``: a positive, finite number."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """The value of ``--max-iter``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return value
 
 
@@ -552,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     banded = argparse.ArgumentParser(add_help=False, parents=[common])
     banded.add_argument(
         "--band",
-        type=_band,
+        type=_positive,
         default=None,
         help="settling band, percent (default: project setting, 2)",
     )
@@ -579,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the integrator-augmented position model",
     )
     p.add_argument(
-        "--max-iter", type=int, default=200, help="fit iteration cap (default 200)"
+        "--max-iter", type=_count, default=200, help="fit iteration cap (default 200)"
     )
     p.set_defaults(func=cmd_identify)
 
@@ -590,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("scenario", help="scenario JSON path or bundled scenario name")
     p.add_argument(
-        "--ts", type=float, default=None, help="sampling time override, seconds"
+        "--ts", type=_positive, default=None, help="sampling time override, seconds"
     )
     p.add_argument(
         "--wide",

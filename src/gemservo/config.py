@@ -308,6 +308,9 @@ def load_project(path: str | Path | None = None) -> Project:
     band = _num(
         _get(defaults, "band_pct", f"{name}.defaults"), f"{name}.defaults.band_pct"
     )
+    for key, value in (("ts", ts), ("band_pct", band)):
+        if value <= 0.0:
+            raise ConfigError(f"{name}.defaults.{key}: must be positive, got {value}")
     limits = limits_from_json(
         _get(defaults, "limits", f"{name}.defaults"), f"{name}.defaults.limits"
     )

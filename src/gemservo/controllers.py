@@ -28,7 +28,7 @@ from .lti import (
     system_type,
     tf_to_ss,
 )
-from .metrics import CONSTANTS, Requirement, analyze_step, check_requirements
+from .metrics import CONSTANTS, Requirement, analyze_step, check_requirements, ess_bound
 
 __all__ = [
     "ActuatorLimits",
@@ -566,7 +566,7 @@ def tune_pid(
         if m.settled and m.tss is not None:
             s += max(0.0, m.tss - req.tss_max) / req.tss_max
         s += max(0.0, m.os_pct - req.os_max) / max(req.os_max, 1.0)
-        s += m.ess / max(abs(req.amplitude) * 1e-6 + req.ess_max, 1e-12)
+        s += m.ess / max(ess_bound(req.amplitude, req.ess_max), 1e-12)
         return s
 
     candidates = _candidate_gains(plant, req)

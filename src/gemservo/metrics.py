@@ -18,7 +18,7 @@ __all__ = [
     "analyze_disturbance",
     "has_step",
     "check_requirements",
-    "within_ess",
+    "ess_bound",
     "table_report",
 ]
 
@@ -136,11 +136,11 @@ def _settling_time(t, outside, diverged: bool, since: float = 0.0) -> float | No
     return float(t[out[-1] + 1] - since) if out.size else 0.0
 
 
-def within_ess(err: float, amplitude: float, ess_max: float = 0.0) -> bool:
-    """Whether a steady error meets ``ess_max``, with a slack of ESS_REL_TOL
-    times the reference amplitude, so that a zero bound can be met in
-    floating point."""
-    return err <= ess_max + ESS_REL_TOL * abs(amplitude)
+def ess_bound(amplitude: float, ess_max: float = 0.0) -> float:
+    """The largest steady error that meets ``ess_max``: ``ess_max`` plus a
+    slack of ESS_REL_TOL times the reference amplitude, so that a zero bound
+    can be met in floating point."""
+    return ess_max + ESS_REL_TOL * abs(amplitude)
 
 
 def has_step(trace) -> bool:
@@ -226,7 +226,7 @@ def check_requirements(metrics: StepMetrics, req: Requirement) -> RequirementVer
     settled_ok = metrics.settled
     tss_ok = metrics.settled and metrics.tss is not None and metrics.tss <= req.tss_max
     os_ok = metrics.os_pct <= req.os_max
-    ess_ok = within_ess(metrics.ess, req.amplitude, req.ess_max)
+    ess_ok = metrics.ess <= ess_bound(req.amplitude, req.ess_max)
     return RequirementVerdict(
         settled_ok=settled_ok, tss_ok=tss_ok, os_ok=os_ok, ess_ok=ess_ok
     )

@@ -59,8 +59,8 @@ from .metrics import (
     analyze_disturbance,
     analyze_step,
     check_requirements,
+    ess_bound,
     has_step,
-    within_ess,
 )
 from .sysid import _read_columns
 
@@ -180,25 +180,19 @@ class Scenario:
                 f"{self.duration}s run ends"
             )
 
-    def effective_limits(self) -> ActuatorLimits:
-        if self.limits is not None:
-            return self.limits
-        if isinstance(self.controller, PidGains):
-            return self.controller.limits
-        return DEFAULT_LIMITS
-
 
 @dataclass(frozen=True)
 class SimTrace:
     """Recorded closed-loop trajectory.
 
     ``u`` is the raw controller command, ``u_sat`` the clamped command the
-    plant received, ``e = r - y`` the tracking error.
-    ``saturation_fraction`` is the fraction of samples where the command was
-    clamped at either limit; ``diverged`` marks truncation at the divergence
-    guard. The last sample of a diverged trace records the runaway output;
-    its command columns carry the previous command over, since the controller
-    does not run on a diverged measurement.
+    plant received, ``e = r - y`` the tracking error. ``clipped_low`` and
+    ``clipped_high`` count the commands the clamp raised or cut to a limit,
+    ``saturation_fraction`` is the share with ``u != u_sat`` (a NaN command
+    counts there, at neither limit); ``diverged`` marks truncation at the
+    divergence guard. The last sample of a diverged trace records the runaway
+    output; its command columns carry the previous command over, since the
+    controller does not run on a diverged measurement.
     """
 
     t: np.ndarray
@@ -208,11 +202,22 @@ class SimTrace:
     u_sat: np.ndarray
     y: np.ndarray
     ts: float
-    saturation_fraction: float
     diverged: bool
 
     def __len__(self) -> int:
         return self.t.size
+
+    @property
+    def clipped_low(self) -> int:
+        return int(np.count_nonzero(self.u < self.u_sat))
+
+    @property
+    def clipped_high(self) -> int:
+        return int(np.count_nonzero(self.u > self.u_sat))
+
+    @property
+    def saturation_fraction(self) -> float:
+        return float(np.mean(self.u != self.u_sat))
 
 
 @functools.lru_cache(maxsize=64)
@@ -311,7 +316,9 @@ def run(scenario: Scenario) -> SimTrace:
     r = scenario.reference.values(t)
     dist = scenario.disturbance
     d = dist.values(t) if dist is not None else None
-    limits = scenario.effective_limits()
+    limits = scenario.limits
+    if limits is None:
+        limits = gains.limits if is_pid else DEFAULT_LIMITS
     ts = scenario.ts
 
     loop = _loop_factory(
@@ -339,7 +346,6 @@ def run(scenario: Scenario) -> SimTrace:
     us_arr = us_arr[:end]
     y_arr = y_arr[:end]
     e_arr = r - y_arr
-    sat_frac = float(np.mean(u_arr != us_arr)) if end else 0.0
     for arr in (t, r, e_arr, u_arr, us_arr, y_arr):
         arr.setflags(write=False)
     return SimTrace(
@@ -350,7 +356,6 @@ def run(scenario: Scenario) -> SimTrace:
         u_sat=us_arr,
         y=y_arr,
         ts=ts,
-        saturation_fraction=sat_frac,
         diverged=diverged,
     )
 
@@ -402,11 +407,7 @@ def read_trace_csv(path: str | Path) -> SimTrace:
     ts = float(dt[0])
     if ts <= 0.0 or np.any(np.abs(dt - ts) > 1e-6 * ts):
         raise ValueError(f"{path}: t column must be uniformly increasing")
-    sat = float(np.mean(u != us))
-    return SimTrace(
-        t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts,
-        saturation_fraction=sat, diverged=False,
-    )
+    return SimTrace(t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts, diverged=False)
 
 
 @dataclass(frozen=True)
@@ -552,8 +553,8 @@ def _run_tracking_case(case: TrackingCase) -> tuple[TrackingRow, SimTrace]:
         verdict=verdict,
         max_control=max_control(trace),
         saturation_fraction=trace.saturation_fraction,
-        upper_saturated=bool(np.any(trace.u > case.limits.u_max)),
-        clipped_negative=bool(np.any(trace.u < case.limits.u_min)),
+        upper_saturated=trace.clipped_high > 0,
+        clipped_negative=trace.clipped_low > 0,
         duration=duration,
     )
     return row, trace
@@ -623,7 +624,7 @@ def _run_disturbance_case(
         onset=onset,
         metrics=dm,
         rejected=dm is not None
-        and within_ess(dm.final_error, case.requirement.amplitude),
+        and dm.final_error <= ess_bound(case.requirement.amplitude),
         diverged=diverged,
         tracking=track_row,
     )

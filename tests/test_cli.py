@@ -67,6 +67,24 @@ def test_simulate_wide_limits_remove_negative_clipping(tmp_path, capsys):
     assert "fell below" not in out
 
 
+@pytest.mark.parametrize("wide", [[], ["--wide"]], ids=["project", "wide"])
+@pytest.mark.parametrize(
+    "name", ["ascension_velocity_sf", "declination_velocity_pid",
+             "sidereal_tracking_sf"],
+)
+def test_a_written_trace_reads_back_the_clamp_simulate_printed(
+    tmp_path, capsys, name, wide
+):
+    code, out, _ = run_cli(
+        ["simulate", name, "--json", "--out", str(tmp_path)] + wide, capsys
+    )
+    doc = json.loads(out)
+    back = read_trace_csv(tmp_path / f"{name}_trace.csv")
+    assert back.clipped_low == doc["clipped_low_samples"]
+    assert back.clipped_high == doc["clipped_high_samples"]
+    assert back.saturation_fraction == doc["saturation_fraction"]
+
+
 def test_simulate_ts_override_changes_the_grid(tmp_path, capsys):
     code, _, _ = run_cli(
         ["simulate", "ascension_velocity_sf", "--ts", "0.005",
@@ -327,12 +345,28 @@ def test_identify_negative_max_iter_exits_two(tmp_path, capsys):
     log = tmp_path / "log.csv"
     _write_dataset(log, PROJECT.plants["declination_velocity"], seed=3,
                    noise_frac=0.01)
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["identify", str(log), "--max-iter", "-3", "--out", str(tmp_path)],
         capsys,
     )
-    assert code == 2
-    assert "max_iter must be a nonnegative integer, got -3" in err
+    # refused where it is parsed, naming the flag rather than the log
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: argument --max-iter: must be a nonnegative integer, got '-3'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
+
+
+@pytest.mark.parametrize("value", ["-1", "2.5", "many", ""])
+def test_max_iter_must_be_a_nonnegative_integer(tmp_path, monkeypatch, capsys,
+                                                value):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["identify", "log.csv", "--max-iter", value], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --max-iter: must be a nonnegative integer, got {value!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write_columns(path, u, y, ts=0.004):
@@ -553,6 +587,19 @@ def test_band_must_be_a_positive_number(tmp_path, monkeypatch, capsys, argv,
     assert (code, out) == (2, "")
     assert err.endswith(
         f"error: argument --band: must be a positive number, got {band!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ts", ["0", "-0.01", "nan", "inf", "fast"])
+def test_ts_must_be_a_positive_number(tmp_path, monkeypatch, capsys, ts):
+    # refused where it is parsed, naming the flag rather than the scenario
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["simulate", "ascension_velocity_sf", "--ts", ts],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --ts: must be a positive number, got {ts!r}\n"
     )
     assert list(tmp_path.iterdir()) == []
 

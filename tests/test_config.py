@@ -433,6 +433,21 @@ def test_arbitrary_json_in_a_document_ends_in_config_error(tmp_path, kind, data)
         assert str(exc).startswith(str(path))
 
 
+@pytest.mark.parametrize("key", ["ts", "band_pct"])
+@pytest.mark.parametrize("value", [0, -0.01])
+def test_project_defaults_must_be_positive(tmp_path, key, value):
+    # refused at load, naming the project file, not when a run is judged
+    doc = json.loads((_DATA / "project.json").read_text())
+    doc["defaults"][key] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        load_project(path)
+    assert str(info.value) == (
+        f"{path}.defaults.{key}: must be positive, got {float(value)}"
+    )
+
+
 def test_a_project_section_that_is_not_an_object_is_path_qualified(tmp_path):
     doc = json.loads((_DATA / "project.json").read_text())
     path = tmp_path / "p.json"

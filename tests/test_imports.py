@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, no
 module imports scipy at all, each kind of input file has one reader, each
-control law and each judging rule is spelled once, every function the
-benchmark traces still exists, and only ``cli.main`` writes stdout."""
+control law and each judging rule is spelled once, only ``SimTrace`` reads
+the clamp off a trace, every function the benchmark traces still exists, and
+only ``cli.main`` writes stdout."""
 
 import ast
 import importlib
@@ -234,8 +235,8 @@ def _is_constant(node: ast.AST, value: float) -> bool:
 
 def _judging_rules(path: Path) -> list[str]:
     """Places in a module that spell the tail window of a trace (a product
-    with 0.05, or a division by 20) or read ``ESS_REL_TOL``, as
-    ``file:line: what``."""
+    with 0.05, or a division by 20), read ``ESS_REL_TOL`` or spell the ess
+    slack (a product of 1e-6 with an amplitude), as ``file:line: what``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     hits = []
     for node in ast.walk(tree):
@@ -246,6 +247,11 @@ def _judging_rules(path: Path) -> list[str]:
             and _is_constant(node.right, 20)
         ):
             hits.append((node.lineno, f"{path.name}:{node.lineno}: tail window"))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+            _is_constant(a, 1e-6) and "amp" in ast.unparse(b)
+            for a, b in ((node.left, node.right), (node.right, node.left))
+        ):
+            hits.append((node.lineno, f"{path.name}:{node.lineno}: ess slack"))
         names = (getattr(node, key, None) for key in ("id", "attr", "name"))
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and (
             "ESS_REL_TOL" in names
@@ -256,7 +262,7 @@ def _judging_rules(path: Path) -> list[str]:
 
 def test_each_judging_rule_is_spelled_once():
     # the tail window that settling and final values use, and the slack of
-    # the zero-error test, live in metrics (metrics._tail, within_ess); a
+    # the zero-error test, live in metrics (metrics._tail, ess_bound); a
     # second spelling elsewhere drifts from them
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 9
@@ -275,6 +281,8 @@ def test_judging_rule_detector_flags_and_exempts(tmp_path):
         "    n_tail = max(1, int(round(0.05 * y.size)))\n"
         "    ok = err <= metrics.ESS_REL_TOL * abs(amp)\n"
         "    k = n // 20 + y.size * 0.05\n"
+        "    s = err / (abs(req.amplitude) * 1e-6 + ess_max) + 1e-6 * amp\n"
+        "    tol = 1e-6 * rate + 1e-6 * abs(n) + 2e-6 * amp + 1e-5 * amp\n"
         "    return 20.0 / rate, 20.0 * n, 0.05 + n, n / 2.0, n - 20\n"
     )
     assert _judging_rules(src) == [
@@ -283,6 +291,64 @@ def test_judging_rule_detector_flags_and_exempts(tmp_path):
         "mod.py:5: ESS_REL_TOL",
         "mod.py:6: tail window",
         "mod.py:6: tail window",
+        "mod.py:7: ess slack",
+        "mod.py:7: ess slack",
+    ]
+
+
+def _is_command(node: ast.AST) -> bool:
+    """Whether a node is a ``.u`` attribute, or an item of one."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "u"
+
+
+def _command_comparisons(path: Path) -> list[str]:
+    """Comparisons in a module with a trace's command ``u`` on either side,
+    as ``file:line: name`` of the top-level definition they sit in."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                _is_command(side) for side in [node.left, *node.comparators]
+            ):
+                name = getattr(top, "name", "<module>")
+                hits.append((node.lineno, f"{path.name}:{node.lineno}: {name}"))
+    return [hit for _, hit in sorted(hits)]
+
+
+def test_only_sim_trace_reads_the_clamp_off_a_trace():
+    # SimTrace reads clipped_low, clipped_high and saturation_fraction off
+    # u and u_sat; a second comparison of u with the limits drifts from the
+    # clamp the loop applied
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    hits = [hit for path in modules for hit in _command_comparisons(path)]
+    assert len(hits) == 3
+    assert {(h.split(":")[0], h.rsplit(" ", 1)[1]) for h in hits} == {
+        ("simloop.py", "SimTrace")
+    }
+
+
+def test_command_comparison_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\n"
+        "def f(trace, limits, u):\n"
+        "    low = int(np.sum(trace.u < limits.u_min))\n"
+        "    if trace.u[0] > 0 or u < limits.u_max:\n"
+        "        pass\n"
+        "    same = limits.u_min == trace.u_sat[0]\n"
+        "    return trace.u, max(trace.u), 0 < trace.y[-1], u != low\n"
+        "class T:\n"
+        "    def n(self):\n"
+        "        return np.count_nonzero(self.u != self.u_sat)\n"
+    )
+    assert _command_comparisons(src) == [
+        "mod.py:3: f",
+        "mod.py:4: f",
+        "mod.py:10: T",
     ]
 
 

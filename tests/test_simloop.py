@@ -115,17 +115,19 @@ def test_scenario_validation():
 
 
 def test_effective_limits_resolution():
-    pid = PidGains(1.0, 0.0, 0.0, u_min=-7.0, u_max=7.0)
+    # a command driven far past any limit shows the clamp run applies: the
+    # PID's own limits, the scenario's over them, the drive's range for SF
+    pid = PidGains(1e9, 0.0, 0.0, u_min=-7.0, u_max=7.0)
     ref = SignalSpec(shape="step", amplitude=1.0)
     scen = Scenario(plant=ASC_VEL, controller=pid, reference=ref, duration=1.0)
-    assert scen.effective_limits() == ActuatorLimits(-7.0, 7.0)
+    assert max_control(run(scen)) == 7.0
     scen = Scenario(
         plant=ASC_VEL, controller=pid, reference=ref, duration=1.0, limits=WIDE
     )
-    assert scen.effective_limits() == WIDE
-    sf = StateFeedbackGains(k1=(0.0, 0.0), k2=0.0)
+    assert max_control(run(scen)) == WIDE.u_max
+    sf = StateFeedbackGains(k1=(0.0, 0.0), k2=1e9)
     scen = Scenario(plant=ASC_VEL, controller=sf, reference=ref, duration=1.0)
-    assert scen.effective_limits() == DEFAULT_LIMITS
+    assert max_control(run(scen)) == DEFAULT_LIMITS.u_max
 
 
 def test_a_biproper_plant_is_refused_by_the_loop_its_matrix_and_the_tuner():
@@ -338,7 +340,7 @@ def test_max_control_is_signed():
     z = np.zeros(4)
     trace = SimTrace(
         t=t, r=z, e=z, u=-np.ones(4), u_sat=-np.ones(4), y=z, ts=0.01,
-        saturation_fraction=0.0, diverged=False,
+        diverged=False,
     )
     assert max_control(trace) == -1.0
 
@@ -446,11 +448,7 @@ def _reference_read_trace_csv(path):
     ts = float(dt[0])
     if ts <= 0.0 or np.any(np.abs(dt - ts) > 1e-6 * ts):
         raise ValueError(f"{path}: t column must be uniformly increasing")
-    sat = float(np.mean(u != us))
-    return SimTrace(
-        t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts,
-        saturation_fraction=sat, diverged=False,
-    )
+    return SimTrace(t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts, diverged=False)
 
 
 def _trace_outcome(reader, path):
@@ -822,7 +820,10 @@ def _reference_trace(scen):
     plant stepped as left-to-right sums over Ad, Bd and C."""
     dss = discretize_zoh(tf_to_ss(scen.plant), scen.ts)
     a, b, c = dss.Ad.tolist(), dss.Bd[:, 0].tolist(), dss.C[0].tolist()
-    limits = scen.effective_limits()
+    limits = scen.limits
+    if limits is None:
+        limits = (scen.controller.limits if isinstance(scen.controller, PidGains)
+                  else DEFAULT_LIMITS)
     gains = scen.controller
     is_pid = isinstance(gains, PidGains)
     if is_pid:
@@ -862,7 +863,7 @@ def _reference_trace(scen):
     return {
         "t": t[:end], "r": np.array(r[:end]), "e": np.array(r[:end]) - ys,
         "u": np.array(us), "u_sat": np.array(usats), "y": np.array(ys),
-        "diverged": diverged,
+        "diverged": diverged, "limits": limits,
     }
 
 
@@ -875,6 +876,8 @@ def _assert_trace_is_reference(scen):
         assert got.tobytes() == ref[name].tobytes(), name
     assert trace.diverged == ref["diverged"]
     assert trace.saturation_fraction == float(np.mean(ref["u"] != ref["u_sat"]))
+    assert trace.clipped_low == np.count_nonzero(ref["u"] < ref["limits"].u_min)
+    assert trace.clipped_high == np.count_nonzero(ref["u"] > ref["limits"].u_max)
     return trace
 
 
@@ -925,6 +928,42 @@ def _loop_scenarios(draw):
 @given(scen=_loop_scenarios())
 def test_run_matches_reference_loop_bit_for_bit(scen):
     _assert_trace_is_reference(scen)
+
+
+def test_clamp_counts_follow_the_limits_on_every_kind_of_run():
+    # the counts SimTrace reads off u and u_sat, against the limits the
+    # scenario set: one-sided, signed and open, PID and SF, with a loop
+    # delay, input and output loads, and the two overflow runaways
+    pid = PROJECT.controllers["declination_velocity_pid"]
+    sf = PROJECT.controllers["ascension_position_sf"]
+    variants = [
+        {}, {"loop_delay": True},
+        {"disturbance": DisturbanceSpec(amplitude=-5e4, start=1.0)},
+        {"disturbance": DisturbanceSpec(amplitude=3.0, start=1.0,
+                                        inject="output")},
+    ]
+    scenarios = [
+        _step_scenario(plant, law, amp, 5.0, limits=limits, **kw)
+        for plant, law, amp in ((DECL_VEL, pid, 10.0), (ASC_POS, sf, 90.0))
+        for limits in (DEFAULT_LIMITS, WIDE, _OPEN)
+        for kw in variants
+    ] + [
+        _step_scenario(FIRST_ORDER, gains, 10.0, 1.0, limits=limits)
+        for gains in (PidGains(1e308, 0.0, 0.0), PidGains(1e308, 0.0, -1e308))
+        for limits in (DEFAULT_LIMITS, _OPEN)
+    ]
+    totals = np.zeros(3)
+    for scen in scenarios:
+        trace = run(scen)
+        low = np.count_nonzero(trace.u < scen.limits.u_min)
+        high = np.count_nonzero(trace.u > scen.limits.u_max)
+        share = np.mean(trace.u != trace.u_sat)
+        assert (trace.clipped_low, trace.clipped_high) == (low, high)
+        assert trace.saturation_fraction == share
+        totals += (low > 0, high > 0, share * len(trace) > low + high)
+    # every count is exercised, NaN commands (saturated, at neither limit)
+    # included
+    assert np.all(totals > 0), totals
 
 
 def test_run_matches_reference_loop_on_diverging_and_saturated_runs():
