@@ -4,25 +4,42 @@ The plant runs on its exact zero-order-hold discretization; the controller
 executes once per sample on the sampled output (ideal sampling by default, an
 optional one-sample loop delay for sensitivity studies). Disturbances inject
 either at the plant input (load) or the plant output (measurement offset).
-Simulations are bit-deterministic: same scenario, same trace. The loop's
-arithmetic is fixed Python float arithmetic, every sum taken left to right,
-so the trace does not depend on the BLAS build numpy runs on either. Each
-kind of loop is compiled once into one function (:func:`_loop_factory`)
-from the plant rows of :func:`gemservo.lti._plant_source` and the law text of
-:func:`gemservo.controllers._law_source`, so one run is one call.
+Simulations are deterministic: same scenario, same trace. Each kind of loop
+is compiled once into one function (:func:`_loop_factory`) from one sample,
+:func:`_sample_source`: the plant rows of :func:`gemservo.lti._plant_source`
+around the law text of :func:`gemservo.controllers._law_source`, so one run
+is one call. The samples the loop steps are fixed Python float arithmetic,
+every sum taken left to right, so they do not depend on the BLAS build numpy
+runs on either.
 
 Once the reference and disturbance are constant, a sample is one fixed map
 of the state the loop carries, so a block of samples that ends in the state
 it began with, bit for bit, repeats to the end of the run. The loop stops
 there and :func:`run` fills the rest of the trace with copies of that block:
 the trace stepping every sample gives, to the last bit.
+
+While the actuator does not clamp, that map is also linear, z <- Φ z + g
+(Åström and Wittenmark, *Computer-Controlled Systems*, ch. 2). After a block
+with constant inputs and no clamped command the loop hands its state over,
+and :func:`run` fills the rest in closed form with numpy products, when the
+loop is stable and the predicted commands stay inside the limits. Those
+filled samples are not bit-identical to stepped ones. Their outputs differ
+from the stepped loop's by at most 1e-12 times the larger of the reference
+and the largest stepped output, and their commands by at most 1e-11 times
+the largest stepped command (a command is a sum of state terms that can
+cancel well below their size), plus the smallest normal float (below which
+no float arithmetic keeps a relative precision); they are unclamped. Their
+sums are fixed-order elementwise float arithmetic, not BLAS or LAPACK calls,
+so they do not depend on the build either. Only whether a tail is taken reads
+LAPACK's eigenvalues, and two builds could decide it differently only for a
+loop whose spectral radius is within rounding of the threshold.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +48,6 @@ from .controllers import (
     DEFAULT_LIMITS,
     ActuatorLimits,
     PidGains,
-    PidState,
     StateFeedbackGains,
     _as_strictly_proper_ss,
     _check_k1,
@@ -79,6 +95,9 @@ __all__ = [
     "DisturbanceRow",
     "run_tracking_suite",
     "run_disturbance_suite",
+    # the laws the loop inlines, as functions, for callers that look them up here
+    "pid_step",
+    "sf_step",
 ]
 
 # Output magnitude beyond which the loop is declared diverged and the trace
@@ -87,8 +106,15 @@ DIVERGENCE_LIMIT = 1e12
 
 _MAX_SAMPLES = 10_000_000
 
-# Samples per block of the compiled loop, which compares its state each block
+# Samples per block of the compiled loop, which compares its state and may
+# hand it over each block; the closed-form tail is filled a block at a time,
+# from the power of Φ that _powers doubles to, so it is a power of two
 _BLOCK = 256
+assert _BLOCK & (_BLOCK - 1) == 0, "_BLOCK must be a power of two"
+
+# Blocks the closed-form tail fills per product, which bounds its scratch
+# memory to a few of these groups whatever the length of the run
+_TAIL_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -231,8 +257,20 @@ def _sampled_plant(plant: TransferFunction, ts: float) -> DiscreteStateSpace:
     return discretize_zoh(_as_strictly_proper_ss(plant), ts)
 
 
-def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
-    """Source of the function :func:`_loop_factory` compiles."""
+def _sample_source(
+    n: int, law: str, inject: str | None, loop_delay: bool
+) -> tuple[list[str], list[str], str, list[str], list[str]]:
+    """One sample of the closed loop as source: (coefficient parameters,
+    carried state, output expression, law statements, plant statements).
+
+    The parameters are the plant rows of :func:`gemservo.lti._plant_source`,
+    the law's gains, ``u_min``, ``u_max`` and ``ts``. The carried state is
+    ``x0`` .. ``x{n-1}``, the law's state and ``u_prev``. The output reads
+    the state (and ``dv[k]`` under an output load); the law statements read
+    ``rv[k]`` and leave ``u_cmd`` and ``u_sat``; the plant statements then
+    advance the carried state. The compiled loop and the probe of
+    :func:`_loop_map` are both built from this text.
+    """
     plant, output, update = _plant_source(n, "u_in")
     gains, state, _, body = _law_source(law, n)
     if inject == "output":
@@ -241,35 +279,51 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
     if inject == "input":
         u_in += " + dv[k]"
     carried = [f"x{j}" for j in range(n)] + state + ["u_prev"]
-    snapshot = f"_pack({', '.join(carried)})"
-    params = ", ".join(plant + gains + ["u_min", "u_max", "ts", "lim"])
+    law_lines = [
+        "r = rv[k]",
+        *(["error = r - y"] if law == "pid" else []),
+        *body.splitlines(),
+    ]
+    plant_lines = [f"u_in = {u_in}", update, "u_prev = u_sat"]
+    params = plant + gains + ["u_min", "u_max", "ts"]
+    return params, carried, output, law_lines, plant_lines
+
+
+def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
+    """Source of the function :func:`_loop_factory` compiles."""
+    params, carried, output, law_lines, plant_lines = _sample_source(
+        n, law, inject, loop_delay
+    )
+    names = ", ".join(carried)
+    zero = ", ".join(["0.0"] * len(carried))
+    snapshot = f"_pack({names})"
     lines = [
         "from struct import Struct",
         f"_pack = Struct('{len(carried)}d').pack",
-        f"def loop({params}, rv, dv, uv, usv, yv, k_steady):",
-        *(f"    {v} = 0.0" for v in carried),
+        f"def loop({', '.join(params)}, lim, rv, dv, uv, usv, yv, k_steady,",
+        f"         start=0, hand_over=True, z=({zero},)):",
+        f"    {names} = z",
         f"    last = {snapshot}",
-        f"    for k0 in range(0, len(yv), {_BLOCK}):",
+        f"    for k0 in range(start, len(yv), {_BLOCK}):",
         f"        for k in range(k0, min(k0 + {_BLOCK}, len(yv))):",
         f"            y = {output}",
         "            yv[k] = y",
         "            if not -lim <= y <= lim:",
         "                uv[k] = u_prev",
         f"                usv[k] = {_clamp_source('u_prev')}",
-        "                return k + 1, True",
-        "            r = rv[k]",
-        *(["            error = r - y"] if law == "pid" else []),
-        *(f"            {line}" for line in body.splitlines()),
+        "                return k + 1, True, None",
+        *(f"            {line}" for line in law_lines),
         "            uv[k] = u_cmd",
         "            usv[k] = u_sat",
-        f"            u_in = {u_in}",
-        f"            {update}",
-        "            u_prev = u_sat",
+        *(f"            {line}" for line in plant_lines),
         f"        now = {snapshot}",
         "        if now == last and k0 >= k_steady:",
-        "            return k + 1, False",
+        "            return k + 1, False, None",
         "        last = now",
-        "    return len(yv), False",
+        f"        if (hand_over and k0 >= k_steady and k + {_BLOCK} < len(yv)",
+        "                and uv[k0:k + 1] == usv[k0:k + 1]):",
+        f"            return k + 1, False, ({names},)",
+        "    return len(yv), False, None",
     ]
     return "\n".join(lines) + "\n"
 
@@ -279,19 +333,181 @@ def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
     """Compile, once per (plant order, ``"pid"`` or ``"sf"`` law, disturbance
     injection, loop delay), the whole sample loop of :func:`run`.
 
-    The body is straight-line float statements over locals: the plant output
-    and update of :func:`gemservo.lti._plant_source` around the law text of
-    :func:`gemservo.controllers._law_source`. The plant coefficients, gains,
-    limits, ts and the divergence limit are arguments, and the signals are
-    memoryviews. The loop returns (samples recorded, diverged).
+    The body is the sample of :func:`_sample_source`, straight-line float
+    statements over locals, between the writes of the trace and the
+    divergence guard. The plant coefficients, gains, limits, ts and the
+    divergence limit are arguments, and the signals are memoryviews. The
+    loop steps from sample ``start`` and carried state ``z`` (zero by
+    default) and returns (samples recorded, diverged, state handed over or
+    None).
 
-    A sample reads, besides the arguments and its inputs, only ``x0`` ..
-    ``x{n-1}``, the law's state and ``u_prev``. A block of ``_BLOCK`` samples
-    that starts at or after ``k_steady``, where the inputs turn constant, and
-    ends with those packed to the bytes they had at its start repeats to the
-    end: the loop returns there, not diverged, before the last sample.
+    A sample reads, besides the arguments and its inputs, only the carried
+    state: ``x0`` .. ``x{n-1}``, the law's state and ``u_prev``. A block of
+    ``_BLOCK`` samples that starts at or after ``k_steady``, where the inputs
+    turn constant, and ends with those packed to the bytes they had at its
+    start repeats to the end: the loop returns there, not diverged, before
+    the last sample. With ``hand_over`` set, a block that starts at or after
+    ``k_steady``, in which no command was clamped (``u_sat != u_cmd``, NaN
+    included), and after which a whole block remains, returns the carried
+    state: the rest of the run is the linear map :func:`run` fills in closed
+    form.
     """
     return _compile(_loop_source(n, law, inject, loop_delay), "loop")
+
+
+def _probe_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
+    """Source of the function :func:`_probe_factory` compiles."""
+    params, carried, output, law_lines, plant_lines = _sample_source(
+        n, law, inject, loop_delay
+    )
+    zero = ", ".join(["0.0"] * len(carried))
+    lines = [
+        f"def probe({', '.join(params)}, rv, dv, z=({zero},)):",
+        "    k = 0",
+        f"    {', '.join(carried)} = z",
+        f"    y = {output}",
+        *(f"    {line}" for line in law_lines + plant_lines),
+        f"    return {', '.join(carried)}, y, u_cmd",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _probe_factory(n: int, law: str, inject: str | None, loop_delay: bool):
+    """Compile one sample of :func:`_sample_source` as a function of (the
+    loop's coefficient parameters, ``rv``, ``dv``, carried state) that
+    returns (next carried state..., y, u_cmd) of sample 0."""
+    return _compile(_probe_source(n, law, inject, loop_delay), "probe")
+
+
+def _loop_map(
+    dss: DiscreteStateSpace,
+    gains: PidGains | StateFeedbackGains,
+    ts: float,
+    inject: str | None,
+    loop_delay: bool,
+    r: float,
+    d: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One sample of the loop with the limits open, under constant reference
+    ``r`` and disturbance ``d``, as the affine map (Φ, g, P, q): the carried
+    state steps as z <- Φ z + g, and the sample's output and command are
+    P z + q. The probe of :func:`_probe_factory` runs once from the zero
+    state with the inputs, for g and q, and once from each unit state with
+    zero inputs, for the columns of Φ and P."""
+    law = "pid" if isinstance(gains, PidGains) else "sf"
+    probe = _probe_factory(dss.order, law, inject, loop_delay)
+    args = (*_plant_coefficients(dss), *_law_gains(gains), -math.inf, math.inf, ts)
+    base = probe(*args, (r,), (d,))
+    m = len(base) - 2
+    cols = np.array([probe(*args, (0.0,), (0.0,), tuple(e))
+                     for e in np.eye(m).tolist()]).T
+    base = np.array(base)
+    return cols[:m], base[:m], cols[m:], base[m:]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a matrix ``b``, each entry summed in index order by
+    elementwise float arithmetic, so that, unlike a BLAS product, it is the
+    same on every build."""
+    out = a[..., 0, None] * b[0]
+    for i in range(1, len(b)):
+        out += a[..., i, None] * b[i]
+    return out
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, by Gauss-Jordan elimination with partial pivoting in
+    Python float arithmetic: unlike LAPACK's solve, the same on every
+    build."""
+    rows = [[*row, v] for row, v in zip(a.tolist(), b.tolist())]
+    for i in range(len(rows)):
+        pivot = max(range(i, len(rows)), key=lambda k: abs(rows[k][i]))
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        if rows[i][i] == 0.0:  # singular: no equilibrium
+            return np.full(len(rows), math.nan)
+        top = [v / rows[i][i] for v in rows[i]]
+        rows = [top if k == i else [v - row[i] * w for v, w in zip(row, top)]
+                for k, row in enumerate(rows)]
+    return np.array([row[-1] for row in rows])
+
+
+def _powers(rows: np.ndarray, step: np.ndarray, count: int):
+    """(rows @ step^j for j < count, stacked on a new first axis, step^h for
+    the power of two h >= count it doubled to): one product per doubling."""
+    out, m = rows[None], len(step)
+    while len(out) < count:
+        both = _dot(np.concatenate((out.reshape(-1, m), step)), step)
+        out, step = np.concatenate((out, both[:-m].reshape(out.shape))), both[-m:]
+    return out[:count], step
+
+
+def _closed_form_tail(
+    scenario: Scenario,
+    dss: DiscreteStateSpace,
+    limits: ActuatorLimits,
+    z: tuple[float, ...],
+    r: float,
+    d: float,
+    y_out: np.ndarray,
+    u_out: np.ndarray,
+) -> bool:
+    """Fill ``y_out`` and ``u_out`` with the next outputs and commands of the
+    loop from the carried state ``z`` under constant inputs ``r`` and ``d``;
+    False, with the arrays partly filled, when the stepped loop could leave
+    the linear map on them.
+
+    With the state shifted to the equilibrium z* = (I - Φ)^-1 g of
+    :func:`_loop_map`, sample b _BLOCK + j of the tail is
+    P Φ^j Φ^(b _BLOCK) (z - z*) + P z* + q. The rows P Φ^j, j < _BLOCK, and
+    the block starts come by doubling, and the samples from (blocks × m)
+    @ (m × 2 _BLOCK) products, ``_TAIL_GROUP`` blocks at a time: the blocked
+    shape of :func:`gemservo.sysid._lsim`. Every sum is :func:`_dot`'s or
+    :func:`_solve`'s, so the filled samples do not depend on the BLAS or
+    LAPACK build; only the spectral radius is LAPACK's, and it only decides
+    whether the tail is taken.
+
+    The tail is refused when the spectral radius of Φ is 1 - 1e-12 or more,
+    when anything is not finite, when the equilibrium command or any
+    predicted command is not inside the limits by a margin, or when an
+    output reaches ``DIVERGENCE_LIMIT``. The margin is 1e-9 of the largest
+    of the finite limits, their span, and the command's terms
+    |P_u| (|z*| + |z - z*|) + |q_u|, the scale its rounding takes.
+    """
+    dist = scenario.disturbance
+    phi, g, p, q = _loop_map(
+        dss, scenario.controller, scenario.ts, dist.inject if dist else None,
+        scenario.loop_delay, r, d,
+    )
+    if not all(np.isfinite(a).all() for a in (phi, g, p, q)):
+        return False
+    if np.max(np.abs(np.linalg.eigvals(phi))) >= 1.0 - 1e-12:
+        return False
+    m = len(z)
+    with np.errstate(all="ignore"):
+        z_eq = _solve(np.eye(m) - phi, g)
+        dz = np.array(z) - z_eq
+        y_eq, u_eq = _dot(p, z_eq[:, None])[:, 0] + q
+        terms = float(np.sum(np.abs(p[1]) * (np.abs(z_eq) + np.abs(dz)))) + abs(q[1])
+        bounds = (limits.u_min, limits.u_max, limits.u_max - limits.u_min)
+        margin = 1e-9 * max([abs(v) for v in bounds if math.isfinite(v)] + [terms])
+        lo, hi = limits.u_min + margin, limits.u_max - margin
+        if not lo < u_eq < hi:
+            return False
+        rows, phi_block = _powers(p, phi, _BLOCK)
+        rows = rows.transpose(2, 1, 0).reshape(m, 2 * _BLOCK)
+        count = len(y_out)
+        starts, _ = _powers(dz, phi_block.T, -(-count // _BLOCK))
+        for k0 in range(0, count, _TAIL_GROUP * _BLOCK):
+            b0, k1 = k0 // _BLOCK, min(k0 + _TAIL_GROUP * _BLOCK, count)
+            yu = _dot(starts[b0:b0 + _TAIL_GROUP], rows).reshape(-1, 2, _BLOCK)
+            y, u = y_out[k0:k1], u_out[k0:k1]
+            y[:] = yu[:, 0].reshape(-1)[:k1 - k0] + y_eq
+            u[:] = yu[:, 1].reshape(-1)[:k1 - k0] + u_eq
+            if not (np.all((lo < u) & (u < hi))
+                    and np.all(np.abs(y) < DIVERGENCE_LIMIT)):
+                return False
+    return True
 
 
 def _steady_from(*signals: np.ndarray | None) -> int:
@@ -302,8 +518,15 @@ def _steady_from(*signals: np.ndarray | None) -> int:
 
 
 def run(scenario: Scenario) -> SimTrace:
-    """Simulate the scenario and return the full trace. When the compiled
-    loop stops early, its last block repeats to the end of the trace."""
+    """Simulate the scenario and return the full trace.
+
+    The compiled loop steps the run. Once the inputs are constant and a
+    block went unclamped it hands its state over, and the rest of the trace
+    is filled in closed form (:func:`_closed_form_tail`), with ``u_sat``
+    equal to ``u``; when that tail is refused, the loop resumes from the
+    state it handed over and steps to the end. When the loop stops early on
+    a repeated state, its last block repeats to the end of the trace.
+    """
     dss = _sampled_plant(scenario.plant, scenario.ts)
     n = dss.order
     gains = scenario.controller
@@ -328,13 +551,23 @@ def run(scenario: Scenario) -> SimTrace:
     u_arr = np.empty(N)
     us_arr = np.empty(N)
     y_arr = np.empty(N)
-    end, diverged = loop(
+    args = (
         *_plant_coefficients(dss), *_law_gains(gains),
         limits.u_min, limits.u_max, ts, DIVERGENCE_LIMIT,
         memoryview(r), memoryview(d) if d is not None else None,
         memoryview(u_arr), memoryview(us_arr), memoryview(y_arr),
         _steady_from(r, d),
     )
+    end, diverged, z = loop(*args)
+    if z is not None:
+        if _closed_form_tail(
+            scenario, dss, limits, z, r[end], d[end] if d is not None else 0.0,
+            y_arr[end:], u_arr[end:],
+        ):
+            us_arr[end:] = u_arr[end:]
+            end = N
+        else:
+            end, diverged, _ = loop(*args, end, False, z)
     if end < N and not diverged:
         for arr in (u_arr, us_arr, y_arr):
             arr[end:] = np.resize(arr[end - _BLOCK:end], N - end)
@@ -479,37 +712,20 @@ def discrete_loop_matrix(
     """One-step transition matrix of the sampled closed loop, saturation off.
 
     For a PID the state is [plant x, integral, filtered derivative, previous
-    error]; for state feedback it is [plant x, integral]. Column j is one
-    sample of the loop :func:`run` executes, started from the unit state e_j
-    with the reference at zero and the actuator limits open, so the matrix
-    follows ``pid_step``/``sf_step`` by construction. Its spectral radius
+    error]; for state feedback it is [plant x, integral]. It is the leading
+    block of the Φ of :func:`_loop_map`: column j is one sample of the loop
+    :func:`run` compiles, started from the unit state e_j with the reference
+    at zero and the actuator limits open, so the matrix follows the law text
+    of ``pid_step``/``sf_step`` by construction. Its spectral radius
     decides whether the simulated loop is stable — which the continuous-time
     pole helpers cannot, since aggressive gains that look fine in continuous
     time can destabilize the 10 ms loop.
     """
     dss = _sampled_plant(plant, ts)
-    n = dss.order
-    bd = dss.Bd[:, 0]
-    c = dss.C[0, :]
-    is_pid = isinstance(controller, PidGains)
-    if is_pid:
-        gains = replace(controller, u_min=-math.inf, u_max=math.inf)
-        m = n + 3
-    else:
-        _check_k1(controller, n)
-        open_limits = ActuatorLimits(-math.inf, math.inf)
-        m = n + 1
-    phi = np.empty((m, m))
-    for j, z in enumerate(np.eye(m)):
-        x = z[:n]
-        y = float(c @ x)
-        if is_pid:
-            u, _, s = pid_step(gains, PidState(*z[n:]), -y, ts)
-            phi[n:, j] = (s.integral, s.deriv, s.prev_error)
-        else:
-            u, _, phi[n, j] = sf_step(controller, x, z[n], 0.0, y, ts, open_limits)
-        phi[:n, j] = dss.Ad @ x + bd * u
-    return phi
+    if not isinstance(controller, PidGains):
+        _check_k1(controller, dss.order)
+    phi = _loop_map(dss, controller, ts, None, False, 0.0, 0.0)[0]
+    return phi[:-1, :-1]  # without a loop delay no sample reads u_prev
 
 
 def sampled_decay_rate(

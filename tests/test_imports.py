@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, no
 module imports scipy at all, each kind of input file has one reader, each
-control law and each judging rule is spelled once, only ``SimTrace`` reads
-the clamp off a trace, every function the benchmark traces still exists, and
-only ``cli.main`` writes stdout."""
+control law and each judging rule is spelled once, the closed loop's sample
+is assembled once, only ``SimTrace`` reads the clamp off a trace, every
+function the benchmark traces still exists, and only ``cli.main`` writes
+stdout."""
 
 import ast
 import importlib
@@ -227,6 +228,53 @@ def test_windup_detector_flags_and_exempts(tmp_path):
         "    return hi if u_cmd > hi else (lo if u_cmd < lo else u_cmd)\n"
     )
     assert _windup_conditions(src) == ["mod.py:2", "mod.py:7", "mod.py:8"]
+
+
+def _sample_text_calls(path: Path, builder: str = "_sample_source") -> list[str]:
+    """Calls of ``_plant_source`` or ``_law_source`` in a module outside its
+    top-level function ``builder``, as ``file:line: call``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = [
+        node for node in tree.body
+        if not (isinstance(node, ast.FunctionDef) and node.name == builder)
+    ]
+    hits = []
+    for node in (n for top in outside for n in ast.walk(top)):
+        if isinstance(node, ast.Call):
+            call = ast.unparse(node.func)
+            if call.rsplit(".", 1)[-1] in ("_plant_source", "_law_source"):
+                hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
+    return [hit for _, hit in sorted(hits)]
+
+
+def test_the_loop_and_its_probe_share_one_sample():
+    # simloop's compiled loop and the probe that linearizes it for the
+    # closed-form tail and discrete_loop_matrix are both built from
+    # _sample_source; a second assembly of the plant and law text drifts
+    simloop = PACKAGE / "simloop.py"
+    assert _sample_text_calls(simloop) == []
+    assert len(_sample_text_calls(simloop, builder=None)) == 2
+
+
+def test_sample_text_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import lti\n"
+        "def _sample_source(n):\n"
+        "    return _plant_source(n, 'u'), _law_source('pid', n)\n"
+        "def other(n):\n"
+        "    rows = lti._plant_source(n, 'u_in')\n"
+        "    text = '_law_source(law, n)'\n"
+        "    return rows, _law_source, _law_gains(n)\n"
+        "class K:\n"
+        "    def _sample_source(self, n):\n"
+        "        return _law_source('sf', n)\n"
+    )
+    assert _sample_text_calls(src) == [
+        "mod.py:5: lti._plant_source",
+        "mod.py:10: _law_source",
+    ]
+    assert len(_sample_text_calls(src, builder=None)) == 4
 
 
 def _is_constant(node: ast.AST, value: float) -> bool:

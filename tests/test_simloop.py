@@ -3,7 +3,10 @@ saturation accounting, divergence handling and the study suites."""
 
 import ast
 import csv
+import functools
+import inspect
 import math
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -867,13 +870,73 @@ def _reference_trace(scen):
     }
 
 
+# (first sample stepped, samples recorded, samples in the run, diverged,
+# state handed over) of one call of a compiled loop
+_Call = namedtuple("_Call", "start end n diverged handed_over")
+
+
+def _recording(calls):
+    """A stand-in for ``simloop._loop_factory`` whose loops append a
+    ``_Call`` to ``calls`` each time they run."""
+    factory = simloop._loop_factory
+
+    def recording(*key):
+        loop = factory(*key)
+        signature = inspect.signature(loop)
+
+        @functools.wraps(loop)
+        def call(*args):
+            bound = signature.bind(*args)
+            bound.apply_defaults()
+            end, diverged, state = loop(*args)
+            calls.append(_Call(bound.arguments["start"], end,
+                               len(bound.arguments["yv"]), diverged,
+                               state is not None))
+            return end, diverged, state
+
+        return call
+
+    return recording
+
+
+# the bound on a filled sample's output, relative to the larger of the
+# reference and the largest output of the stepped reference loop, with the
+# smallest normal float as a floor: no float arithmetic, the stepped
+# reference's included, carries relative precision below it
+TAIL_RTOL = 1e-12
+TAIL_ATOL = np.finfo(float).tiny
+# the bound on a filled command, relative to the largest command: a command
+# is a sum of gain-weighted state terms that can cancel to well below their
+# own size, so its rounding, against the command, runs ten times wider
+TAIL_RTOL_U = 1e-11
+
+
 def _assert_trace_is_reference(scen):
-    trace = run(scen)
+    """Run the scenario and check the trace against :func:`_reference_trace`:
+    bit for bit on every sample the compiled loop stepped or repeated; on
+    the samples filled in closed form, the output within ``TAIL_RTOL`` of
+    the larger of the reference and the largest output, the command within
+    ``TAIL_RTOL_U`` of the largest command, and unclamped. The clamp counts and ``diverged`` are exact."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simloop, "_loop_factory", _recording(calls))
+        trace = run(scen)
     ref = _reference_trace(scen)
+    # run filled the samples after an accepted hand-over, the last call's
+    filled = calls[-1].end if calls[-1].handed_over else len(trace)
     for name in ("t", "r", "e", "u", "u_sat", "y"):
         got = getattr(trace, name)
         assert got.dtype == np.float64 and got.shape == ref[name].shape, name
-        assert got.tobytes() == ref[name].tobytes(), name
+        exact = got if name in ("t", "r") else got[:filled]
+        assert exact.tobytes() == ref[name][:exact.size].tobytes(), name
+    scale = max(np.max(np.abs(ref["r"])), np.max(np.abs(ref["y"])))
+    for name in ("y", "e"):
+        tail = np.abs(getattr(trace, name)[filled:] - ref[name][filled:])
+        assert np.all(tail <= TAIL_RTOL * scale + TAIL_ATOL), name
+    for name in ("u", "u_sat"):
+        tail = np.abs(getattr(trace, name)[filled:] - ref[name][filled:])
+        assert np.all(tail <= TAIL_RTOL_U * np.max(np.abs(ref["u"])) + TAIL_ATOL), name
+    assert np.array_equal(trace.u[filled:], trace.u_sat[filled:])
     assert trace.diverged == ref["diverged"]
     assert trace.saturation_fraction == float(np.mean(ref["u"] != ref["u_sat"]))
     assert trace.clipped_low == np.count_nonzero(ref["u"] < ref["limits"].u_min)
@@ -989,25 +1052,23 @@ def test_run_matches_reference_loop_on_diverging_and_saturated_runs():
 # The compiled loop stops once its state repeats, and the trace is unchanged
 
 
+def _last_call(calls):
+    """The last of a run's compiled-loop calls, after checking the others:
+    at most one hand-over is refused, and the loop resumes where it
+    stopped, with the hand-over off."""
+    assert len(calls) <= 2
+    for handed, resumed in zip(calls, calls[1:]):
+        assert handed.handed_over and not handed.diverged
+        assert resumed.start == handed.end and not resumed.handed_over
+    return calls[-1]
+
+
 @pytest.fixture
 def loop_ends(monkeypatch):
-    """The (samples stepped, samples in the run) of each compiled-loop call,
-    and whether it diverged."""
-    ends = []
-    factory = simloop._loop_factory
-
-    def recording(*key):
-        loop = factory(*key)
-
-        def call(*args):
-            end, diverged = loop(*args)
-            ends.append((end, len(args[-2]), diverged))
-            return end, diverged
-
-        return call
-
-    monkeypatch.setattr(simloop, "_loop_factory", recording)
-    return ends
+    """The ``_Call`` of each compiled-loop call, in order."""
+    calls = []
+    monkeypatch.setattr(simloop, "_loop_factory", _recording(calls))
+    return calls
 
 
 @pytest.mark.parametrize("label, stops", [
@@ -1021,7 +1082,9 @@ def test_reproduce_position_rows_match_reference_loop_bit_for_bit(
 ):
     # the tracking runs of `reproduce`, under the project's one-sided limits:
     # both position PIDs are pinned at zero command, and ascension_position_sf
-    # settles to its last bit, long before their last sample
+    # settles to its last bit, long before their last sample. Each hands its
+    # state over once and has the tail refused: the PIDs' equilibrium
+    # command sits on the zero limit, and the sampled SF loops are unstable.
     system = label.rsplit("_", 1)[0]
     case = TrackingCase(
         label=label, plant=PROJECT.plants[system],
@@ -1033,9 +1096,10 @@ def test_reproduce_position_rows_match_reference_loop_bit_for_bit(
     scen = _step_scenario(case.plant, case.controller, case.requirement.amplitude,
                           duration, ts=case.ts, limits=case.limits)
     _assert_trace_is_reference(scen)
-    ((end, n, diverged),) = loop_ends
-    assert not diverged
-    assert (end < n) == stops
+    last = _last_call(loop_ends)
+    assert len(loop_ends) == 1 + (label != "declination_position_sf")
+    assert not last.diverged and not last.handed_over
+    assert (last.end < last.n) == stops
 
 
 _BLOCK = simloop._BLOCK
@@ -1089,9 +1153,201 @@ def _blocked_scenarios(draw):
 def test_run_matches_reference_loop_across_blocks_bit_for_bit(scen, loop_ends):
     loop_ends.clear()
     _assert_trace_is_reference(scen)
-    ((end, n, diverged),) = loop_ends
+    last = _last_call(loop_ends)
     if scen.reference.shape == "ramp":
-        assert end == n or diverged  # the reference never stops changing
+        # the reference never stops changing: the loop steps every sample
+        assert len(loop_ends) == 1 and (last.end == last.n or last.diverged)
+
+
+def _placed_poles(name):
+    """The poles ``place_poles`` is asked for in the tuning study: a fast
+    pair and a fast real pole for a velocity plant; for a position plant two
+    slow real poles, with the velocity plant's own pair kept."""
+    if name.endswith("velocity"):
+        return [complex(-25.0, 18.75), complex(-25.0, -18.75), -125.0]
+    _, a1, a0 = PROJECT.plants[name.replace("position", "velocity")].den
+    im = math.sqrt(a0 - 0.25 * a1 * a1)
+    return [-0.15, -1.0, complex(-0.5 * a1, im), complex(-0.5 * a1, -im)]
+
+
+# loops stable when sampled at 1 to 10 ms: the gains the tuner finds for the
+# four plants, pole-placed state feedback, and the first-order loops
+_TUNED_PID = {
+    "ascension_velocity": PidGains(23902.65, 579966.2, 693.24),
+    "declination_velocity": PidGains(7788.646, 165742.4),
+    "ascension_position": PidGains(4790.971, 179.6614),
+    "declination_position": PidGains(4778.067, 179.1775),
+}
+_STABLE_LOOPS = {
+    **{(name, "pid"): (PROJECT.plants[name], gains)
+       for name, gains in _TUNED_PID.items()},
+    **{(name, "sf"): (PROJECT.plants[name],
+                      place_poles(PROJECT.plants[name], _placed_poles(name)))
+       for name in _TUNED_PID},
+    ("first_order", "pid"): _LOOPS[("first_order", "pid")],
+    ("first_order", "sf"): _LOOPS[("first_order", "sf")],
+}
+
+
+@st.composite
+def _tail_scenarios(draw):
+    """Steps on stable loops, of 3 to 8 loop blocks, with inputs that turn
+    constant early: runs whose rest the loop hands over to the closed form
+    unless the actuator clamps."""
+    plant, controller = _STABLE_LOOPS[draw(st.sampled_from(sorted(_STABLE_LOOPS)))]
+    ts = draw(st.sampled_from([0.01, 0.005, 0.002]))
+    duration = ts * draw(st.integers(3 * _BLOCK, 8 * _BLOCK))
+    reference = SignalSpec(amplitude=draw(st.floats(-20.0, 20.0)),
+                           start=draw(st.floats(0.0, duration / 4)))
+    disturbance = draw(st.one_of(
+        st.none(),
+        st.builds(DisturbanceSpec, amplitude=st.floats(-5e4, 5e4),
+                  start=st.floats(0.0, duration / 4), inject=st.just("input")),
+        st.builds(DisturbanceSpec, amplitude=st.floats(-2.0, 2.0),
+                  start=st.floats(0.0, duration / 4), inject=st.just("output")),
+    ))
+    return Scenario(
+        plant=plant, controller=controller, reference=reference,
+        duration=duration, ts=ts,
+        limits=draw(st.sampled_from([None, DEFAULT_LIMITS, WIDE, _OPEN])),
+        disturbance=disturbance, loop_delay=draw(st.booleans()),
+    )
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scen=_tail_scenarios())
+def test_the_filled_tail_matches_the_reference_loop(scen, loop_ends):
+    loop_ends.clear()
+    _assert_trace_is_reference(scen)
+    _last_call(loop_ends)
+
+
+@pytest.mark.parametrize("key", sorted(_STABLE_LOOPS), ids="-".join)
+@pytest.mark.parametrize("variant", [
+    {"limits": WIDE},
+    {"limits": _OPEN},
+    {"limits": WIDE, "disturbance": DisturbanceSpec(amplitude=2e3, start=0.5)},
+    {"limits": WIDE,
+     "disturbance": DisturbanceSpec(amplitude=0.5, start=0.5, inject="output")},
+], ids=["signed", "open", "input-load", "output-load"])
+def test_every_stable_loop_hands_its_tail_over(key, variant, loop_ends):
+    # at 2 ms a block is 0.51 s: the fast loops are still moving when the
+    # load has stepped in, so no block repeats before the hand-over
+    plant, controller = _STABLE_LOOPS[key]
+    scen = _step_scenario(plant, controller, 1.0, 10.0, ts=0.002, **variant)
+    _assert_trace_is_reference(scen)
+    (call,) = loop_ends
+    assert call.handed_over and call.end <= 2 * _BLOCK
+
+
+@pytest.mark.parametrize("key", [
+    ("declination_velocity", "pid"), ("ascension_position", "sf"),
+    ("first_order", "pid"), ("first_order", "sf"),
+], ids="-".join)
+def test_a_delayed_loop_hands_its_tail_over(key, loop_ends):
+    plant, controller = _STABLE_LOOPS[key]
+    _assert_trace_is_reference(
+        _step_scenario(plant, controller, 1.0, 10.0, limits=WIDE, loop_delay=True)
+    )
+    (call,) = loop_ends
+    assert call.handed_over
+
+
+def test_a_velocity_loop_hands_over_under_the_one_sided_actuator(loop_ends):
+    # the project's 0..350 kHz: the tuned ascension PID's first commands
+    # after a 10 deg/s step clamp at the ceiling, then the loop settles
+    # inside the limits, where the tail takes over
+    plant, controller = _STABLE_LOOPS[("ascension_velocity", "pid")]
+    trace = _assert_trace_is_reference(
+        _step_scenario(plant, controller, 10.0, 60.0, limits=DEFAULT_LIMITS)
+    )
+    (call,) = loop_ends
+    assert call.handed_over and call.end > _BLOCK
+    assert 0 < np.flatnonzero(trace.u != trace.u_sat)[-1] < _BLOCK
+
+
+def _refused(scen, loop_ends):
+    """Run the scenario against the reference loop: (trace, number of
+    compiled-loop calls), with no hand-over accepted."""
+    loop_ends.clear()
+    trace = _assert_trace_is_reference(scen)
+    assert not _last_call(loop_ends).handed_over
+    return trace, len(loop_ends)
+
+
+def test_a_ramp_is_never_handed_over(loop_ends):
+    plant, controller = _STABLE_LOOPS[("declination_velocity", "pid")]
+    scen = Scenario(plant=plant, controller=controller,
+                    reference=SignalSpec(shape="ramp", rate=2.0),
+                    duration=30.0, limits=WIDE)
+    assert _refused(scen, loop_ends)[1] == 1
+    assert loop_ends[0].end == loop_ends[0].n
+
+
+def test_a_diverging_loop_refuses_the_tail(loop_ends):
+    # unstable when sampled at 10 ms (spectral radius 1.013): unclamped
+    # under open limits, it hands over, has the tail refused, and steps on
+    # to the divergence guard
+    scen = _step_scenario(ASC_VEL, PROJECT.controllers["ascension_velocity_pid"],
+                          1e-9, 60.0, limits=_OPEN)
+    trace, calls = _refused(scen, loop_ends)
+    assert calls == 2 and trace.diverged
+
+
+def test_a_tail_past_the_divergence_guard_is_refused(loop_ends):
+    # a stable loop asked for 2e12 deg: the output is 4.2e11 at the
+    # hand-over and would settle past DIVERGENCE_LIMIT, where the stepped
+    # loop stops
+    plant, controller = _STABLE_LOOPS[("ascension_position", "sf")]
+    trace, calls = _refused(
+        _step_scenario(plant, controller, 2e12, 60.0, limits=_OPEN), loop_ends
+    )
+    assert calls == 2 and trace.diverged
+
+
+def test_a_pinned_equilibrium_refuses_the_tail(loop_ends):
+    # a position PID under the one-sided actuator: its equilibrium command
+    # is zero, on the limit, and after the overshoot the linear map would
+    # drive the command below it, where the stepped loop pins
+    plant, controller = _STABLE_LOOPS[("ascension_position", "pid")]
+    trace, calls = _refused(
+        _step_scenario(plant, controller, 90.0, 300.0, limits=DEFAULT_LIMITS),
+        loop_ends,
+    )
+    assert calls == 2
+    assert trace.clipped_low > 0 and trace.u_sat[-1] == 0.0
+
+
+@pytest.mark.parametrize("amplitude, limits", [
+    (1.0, ActuatorLimits(0.0, math.inf)),
+    (-1.0, ActuatorLimits(-math.inf, 0.0)),
+])
+def test_an_equilibrium_on_a_half_open_limit_refuses_the_tail(
+    amplitude, limits, loop_ends
+):
+    # pole-placed state feedback on a position plant holds it with a zero
+    # command: on the finite limit of a half-open actuator, whose span gives
+    # no margin, so the margin comes from the command's own terms
+    plant, controller = _STABLE_LOOPS[("declination_position", "sf")]
+    _, calls = _refused(
+        _step_scenario(plant, controller, amplitude, 60.0, limits=limits),
+        loop_ends,
+    )
+    assert calls == 2
+
+
+def test_a_tail_that_would_clamp_is_refused(loop_ends):
+    # a slow, lightly damped PI loop on the first-order plant (damping 0.2
+    # at 0.3 rad/s): no command clamps in the first block, but the
+    # command's overshoot near 12 s crosses the ceiling
+    scen = _step_scenario(FIRST_ORDER, PidGains(-0.88, 0.09, 0.0), 1.0, 60.0,
+                          limits=ActuatorLimits(-10.0, 1.5))
+    trace, calls = _refused(scen, loop_ends)
+    assert calls == 2
+    handed = loop_ends[0].end
+    assert np.array_equal(trace.u[:handed], trace.u_sat[:handed])
+    assert trace.clipped_high > 0
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -0.0])
@@ -1181,3 +1437,19 @@ def test_the_repeated_state_holds_every_local_a_sample_reads_first(
     first = _first_reads(sample.body, set()) - params - {"k"}
     assert {f"x{j}" for j in range(n)} | {"u_prev"} <= first
     assert first <= set(packed[0])
+    # the state the loop hands over, and the one it resumes from, are the
+    # packed names in the packed order
+    (handed,) = [
+        [a.id for a in node.value.elts[2].elts] for node in ast.walk(loop)
+        if isinstance(node, ast.Return)
+        and isinstance(node.value.elts[2], ast.Tuple)
+    ]
+    (resumed,) = [
+        [a.id for a in node.targets[0].elts] for node in loop.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.value) == "z"
+    ]
+    assert handed == resumed == packed[0]
+    # the probe that linearizes the loop steps the same state
+    (probe,) = ast.parse(simloop._probe_source(n, law, inject, loop_delay)).body
+    (returned,) = [node.value for node in probe.body if isinstance(node, ast.Return)]
+    assert [a.id for a in returned.elts] == packed[0] + ["y", "u_cmd"]
