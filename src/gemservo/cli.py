@@ -13,6 +13,7 @@ from it; only :func:`main` writes stdout, the one or the other (``--json``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -548,7 +549,10 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="machine-readable JSON on stdout"

@@ -12,7 +12,11 @@ Toeplitz matrix of the model's impulse response within blocks of about
 sqrt(N) samples, and the block-boundary states from the same closed form. The
 optimizer is a damped Gauss-Newton (Levenberg-Marquardt) iteration over
 (b0, a1, a0) with exact Jacobians (the output sensitivities, filtered from
-the same model) and a deterministic multistart. Fitting needs numpy only.
+the same model). Its starts are screened, not all polished: the fanned
+rise-time seeds and linear ARX(2,2) and instrumental-variable estimates are
+each priced with one simulation, LM polishes the two cheapest and stops when
+they agree on a good fit, and polishes every start otherwise. Fitting needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ class DataSet:
                 "PWM drive commands normally reach 1e5..3.5e5 Hz, check "
                 "columns and units",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @property
@@ -113,13 +117,19 @@ class DataSet:
 
 
 def load_dataset(path: str | Path, label: str | None = None) -> DataSet:
-    """Read a `t,u,y` CSV file. Errors name the file and the line."""
+    """Read a `t,u,y` CSV file. Errors and warnings name the file, errors
+    also the line."""
     path = Path(path)
     t, u, y = np.ascontiguousarray(_read_columns(path, ("t", "u", "y")).T)
-    try:
-        return DataSet(t, u, y, label=label if label is not None else path.stem)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = DataSet(t, u, y, label=label if label is not None else path.stem)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    for w in caught:
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
+    return ds
 
 
 def _read_columns(path: Path, names: tuple[str, ...]) -> np.ndarray:
@@ -538,9 +548,10 @@ def _jacobian(theta: np.ndarray, u: np.ndarray, y_hat: np.ndarray, ts: float):
     return J.T
 
 
-def _levenberg_marquardt(theta0, u, y, ts, max_iter):
+def _levenberg_marquardt(theta0, u, y, ts, max_iter, priced=None):
+    """Polish ``theta0``; ``priced`` is its (residual, cost) when known."""
     theta = np.asarray(theta0, dtype=float).copy()
-    r, cost = _cost(theta, u, y, ts)
+    r, cost = _cost(theta, u, y, ts) if priced is None else priced
     if r is None:
         return theta, math.inf, 0, False
     lam = 1e-3
@@ -623,6 +634,109 @@ def _default_seeds(ds: DataSet) -> list[tuple[float, float, float]]:
     return seeds
 
 
+def _arx_to_continuous(alpha1: float, alpha2: float, beta: float, ts: float):
+    """(b0, a1, a0) of the model whose zero-order-hold sample has the
+    denominator z^2 + alpha1 z + alpha2 and the numerator's coefficient sum
+    ``beta``, or None when no real second-order model has those poles.
+
+    The poles z = e^{p ts} give a1 = -(p1 + p2) = -ln(alpha2) / ts and a0 =
+    p1 p2: |ln z|^2 / ts^2 for a complex pair, ln z1 ln z2 / ts^2 for a real
+    one. The hold keeps the DC gain, so b0 / a0 = beta / (1 + alpha1 +
+    alpha2). A real pole at z <= 0 has no continuous preimage.
+    """
+    if not alpha2 > 0.0:
+        return None
+    log2 = math.log(alpha2)
+    disc = alpha1 * alpha1 - 4.0 * alpha2
+    if disc < 0.0:
+        # z = sqrt(alpha2) e^{+-i phi}: ln z = ln(alpha2) / 2 +- i phi
+        phi = math.atan2(math.sqrt(-disc), -alpha1)
+        a0 = (0.25 * log2 * log2 + phi * phi) / (ts * ts)
+    elif alpha1 < 0.0:
+        z1 = 0.5 * (math.sqrt(disc) - alpha1)  # the larger root, no cancelling
+        a0 = math.log(z1) * math.log(alpha2 / z1) / (ts * ts)
+    else:
+        return None
+    dc = 1.0 + alpha1 + alpha2
+    theta = (a0 * beta / dc if dc != 0.0 else math.inf, -log2 / ts, a0)
+    return theta if all(map(math.isfinite, theta)) else None
+
+
+def _arx_seed(u: np.ndarray, y: np.ndarray, ts: float, x: np.ndarray | None = None):
+    """(b0, a1, a0) from the ARX(2,2) fit y_k + alpha1 y_{k-1} + alpha2 y_{k-2}
+    = beta1 u_{k-1} + beta2 u_{k-2} (Ljung, System Identification, 10.4), or
+    None where :func:`_arx_to_continuous` finds no model.
+
+    With ``x`` None the fit is least squares, which output noise biases.
+    Given a noise-free simulated output ``x``, it is the instrumental-variable
+    estimate with x in place of y in the instruments (Soderstrom and Stoica,
+    Instrumental Variable Methods for System Identification), which output
+    noise does not bias. The columns are scaled to unit norm before solving.
+    """
+    phi = np.stack((-y[1:-1], -y[:-2], u[1:-1], u[:-2]), axis=1)
+    scale = np.linalg.norm(phi, axis=0)
+    scale[scale == 0.0] = 1.0
+    phi /= scale
+    if x is None:
+        coef = np.linalg.lstsq(phi, y[2:], rcond=None)[0]
+    else:
+        z = np.stack((-x[1:-1], -x[:-2], u[1:-1], u[:-2]), axis=1) / scale
+        coef = np.linalg.lstsq(z.T @ phi, z.T @ y[2:], rcond=None)[0]
+    alpha1, alpha2, beta1, beta2 = (float(v) for v in coef / scale)
+    return _arx_to_continuous(alpha1, alpha2, beta1 + beta2, ts)
+
+
+# two polished starts agree, and the search stops, within this relative cost
+_AGREE_TOL = 1e-8
+# ... provided their fit leaves at most this share of the output's variance
+# unexplained (fit_pct >= 29 %): starts that all sink into a near-zero or
+# unstable model agree there, well above it
+_AGREE_MAX_UNEXPLAINED = 0.5
+
+
+def _multistart(ds: DataSet, max_iter: int):
+    """The best (theta, cost, n_iter, converged) of the default starts, or
+    None when no start has a finite simulation error.
+
+    The starts are the fanned seeds of :func:`_default_seeds`, the least
+    squares ARX seed, and one instrumental-variable seed per start priced
+    before it, whose instruments are that start's simulated output. Each is
+    priced with one :func:`_cost`; LM polishes the two cheapest, and the
+    rest only when those two disagree or agree on a poor fit, so that the
+    search stops early only where no other start is likely to do better.
+    Polishing every start covers the fanned seeds, so a fallback never ends
+    worse than they do.
+    """
+    u, y, ts = ds.u, ds.y, ds.ts
+    starts = []  # (cost, theta, residual), in the order priced
+
+    def price(seed):
+        if seed is not None:
+            theta = np.asarray(seed, dtype=float)
+            r, cost = _cost(theta, u, y, ts)
+            if r is not None:
+                starts.append((cost, theta, r))
+
+    for seed in _default_seeds(ds):
+        price(seed)
+    price(_arx_seed(u, y, ts))
+    for _, _, r in list(starts):
+        price(_arx_seed(u, y, ts, r + y))
+    starts.sort(key=lambda s: s[0])
+    floor = 1e-20 * float(y @ y)  # costs at the rounding level of a perfect fit
+    ceiling = _AGREE_MAX_UNEXPLAINED * float(np.sum((y - y.mean()) ** 2))
+    polished = []
+    for cost, theta, r in starts:
+        polished.append(
+            _levenberg_marquardt(theta, u, y, ts, max_iter, priced=(r, cost))
+        )
+        if len(polished) == 2:
+            c0, c1 = sorted(p[1] for p in polished)
+            if c1 - c0 <= _AGREE_TOL * c1 + floor and c0 <= ceiling:
+                break
+    return min(polished, key=lambda p: p[1], default=None)
+
+
 def fit_second_order(
     ds: DataSet,
     initial_guess: TransferFunction | tuple[float, float, float] | None = None,
@@ -630,10 +744,12 @@ def fit_second_order(
 ) -> FitReport:
     """Fit b0/(s^2 + a1 s + a0) to the dataset by simulation-error minimization.
 
-    With no ``initial_guess`` a 5-point deterministic multistart is run and
-    the lowest final cost wins; an explicit guess (a strictly proper
-    second-order TransferFunction, or a raw (b0, a1, a0) triple) replaces the
-    multistart entirely. The returned metrics are evaluated with the standard
+    With no ``initial_guess`` the deterministic multistart of
+    :func:`_multistart` is run: ARX/IV and fanned starts screened by their
+    simulation error, LM from the two cheapest, or from all of them unless
+    those two agree on a good fit, and the lowest final cost wins. An
+    explicit guess (a strictly proper second-order TransferFunction, or a raw
+    (b0, a1, a0) triple) replaces the multistart entirely. The returned metrics are evaluated with the standard
     model pipeline (ZOH discretization + simulation), p = 3 parameters.
     """
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
@@ -642,33 +758,22 @@ def fit_second_order(
         raise ValueError("output signal is constant; nothing to fit")
     if not np.any(ds.u):
         raise ValueError("input signal is zero; nothing to fit")
-    if isinstance(initial_guess, TransferFunction):
-        if initial_guess.order != 2 or len(initial_guess.num) != 1:
-            raise ValueError(
-                "initial_guess must be strictly proper with a degree-2 "
-                f"denominator and constant numerator, got {initial_guess}"
-            )
-        seeds = [
-            (initial_guess.num[0], initial_guess.den[1], initial_guess.den[2])
-        ]
-    elif initial_guess is not None:
-        g = tuple(float(v) for v in initial_guess)
-        if len(g) != 3:
-            raise ValueError("initial_guess must be (b0, a1, a0)")
-        seeds = [g]
+    if initial_guess is None:
+        best = _multistart(ds, max_iter)
     else:
-        seeds = _default_seeds(ds)
-
-    best = None
-    for seed in seeds:
-        theta, cost, n_iter, converged = _levenberg_marquardt(
-            np.asarray(seed, dtype=float), ds.u, ds.y, ds.ts, max_iter
-        )
-        if not math.isfinite(cost):
-            continue
-        if best is None or cost < best[1]:
-            best = (theta, cost, n_iter, converged)
-    if best is None:
+        if isinstance(initial_guess, TransferFunction):
+            if initial_guess.order != 2 or len(initial_guess.num) != 1:
+                raise ValueError(
+                    "initial_guess must be strictly proper with a degree-2 "
+                    f"denominator and constant numerator, got {initial_guess}"
+                )
+            seed = (initial_guess.num[0], initial_guess.den[1], initial_guess.den[2])
+        else:
+            seed = tuple(float(v) for v in initial_guess)
+            if len(seed) != 3:
+                raise ValueError("initial_guess must be (b0, a1, a0)")
+        best = _levenberg_marquardt(seed, ds.u, ds.y, ds.ts, max_iter)
+    if best is None or not math.isfinite(best[1]):
         raise ValueError(
             "fit failed: no starting point produced a finite simulation error"
         )

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -385,6 +386,30 @@ def test_identify_zero_input_exits_two(tmp_path, capsys):
     assert out == ""
     assert f"error: {log}: input signal is zero; nothing to fit" in err
     assert not (tmp_path / "model_velocity.json").exists()
+
+
+def test_identify_low_input_warning_names_the_log(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    ts = 0.004
+    u = 1000.0 * rng.standard_normal(400)
+    dss = discretize_zoh(tf_to_ss(PROJECT.plants["declination_velocity"]), ts)
+    y, _ = simulate(dss, u)
+    log = tmp_path / "low.csv"
+    _write_columns(log, u, y + 1e-3 * np.ptp(y) * rng.standard_normal(400), ts)
+    argv = ["identify", str(log), "--out", str(tmp_path)]
+    with pytest.warns(UserWarning) as caught:
+        code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        f"{log}: input peak {np.max(np.abs(u)):g} is below 50000; PWM drive "
+        "commands normally reach 1e5..3.5e5 Hz, check columns and units"
+    ]
+    # reported where the CLI reads the log, not in the generated __init__
+    assert Path(caught[0].filename).name == "cli.py"
+    # stdout is that of a run with the warning silenced
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(argv, capsys) == (0, out, "")
 
 
 def test_identify_fit_errors_name_the_log(tmp_path, capsys):
@@ -854,3 +879,15 @@ def test_version_and_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli([], capsys)
     assert code == 2
+
+
+def test_the_parser_is_built_once_and_parses_alike_every_time(capsys):
+    from gemservo import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    argvs = (["--help"], ["identify", "--help"], ["simulate", "--help"], [],
+             ["identify", "log.csv", "--max-iter", "-1"],
+             ["metrics", "t.csv", "--band", "0"], ["no-such-command"])
+    first = [run_cli(argv, capsys) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 2, 2]
+    assert [run_cli(argv, capsys) for argv in argvs] == first

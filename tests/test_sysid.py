@@ -156,8 +156,10 @@ def test_dataset_rejects_mismatched_and_nonfinite():
 
 def test_dataset_warns_on_low_input_level():
     t = np.arange(10) * 0.01
-    with pytest.warns(UserWarning, match="below 50000"):
+    with pytest.warns(UserWarning, match="below 50000") as caught:
         DataSet(t, np.full(10, 20_000.0), np.ones(10))
+    # reported at the caller's line, not in the generated __init__
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_dataset_no_warning_at_operating_levels(recwarn):
@@ -722,6 +724,206 @@ def test_fit_discretizes_once_and_jacobian_never_evaluates_cost(monkeypatch):
     assert calls["_jacobian", False] > 0
     assert calls["discretize_zoh", False] == 1  # the reported metrics
     assert calls["discretize_zoh", True] == calls["_cost", True] == 0
+
+
+# ---------------------------------------------------------------------------
+# the default multistart: ARX/IV seeds, one-cost screen, early stop
+
+
+def _multistart_reference(ds: DataSet, max_iter: int = 200):
+    """The multistart the ARX/IV screen replaced: LM to convergence from each
+    of the five fanned seeds, the lowest finite final cost kept."""
+    best = None
+    for seed in sysid._default_seeds(ds):
+        theta, cost, n_iter, converged = sysid._levenberg_marquardt(
+            np.asarray(seed, dtype=float), ds.u, ds.y, ds.ts, max_iter
+        )
+        if math.isfinite(cost) and (best is None or cost < best[1]):
+            best = (theta, cost, n_iter, converged)
+    return best
+
+
+def _excitation(rng, kind: str, n: int, wn_ts: float) -> np.ndarray:
+    """A drive log's input: one step, a PRBS between two positive levels or
+    about zero, or Gaussian; PRBS levels are held up to 3 / (wn ts) samples."""
+    if kind == "step":
+        u = np.zeros(n)
+        u[int(rng.integers(0, n // 8)):] = rng.uniform(150e3, 300e3)
+        return u
+    if kind == "gauss":
+        return 250e3 * rng.standard_normal(n)
+    if kind == "prbs":
+        levels = (rng.uniform(50e3, 100e3), rng.uniform(250e3, 300e3))
+    else:  # "prbs0"
+        levels = (-250e3, 250e3)
+    u = np.empty(n)
+    k, high = 0, bool(rng.integers(2))
+    while k < n:
+        hold = int(rng.integers(1, max(2, int(3.0 / wn_ts)) + 1))
+        u[k:k + hold] = levels[high]
+        k, high = k + hold, not high
+    return u
+
+
+def _second_order_log(rng, kind, zeta, wn, ts, n, noise, gain=1e-5) -> DataSet:
+    """The ZOH response of gain wn^2 / (s^2 + 2 zeta wn s + wn^2) to a drawn
+    excitation, plus Gaussian noise of ``noise`` times the output's span."""
+    plant = TransferFunction((gain * wn * wn,), (1.0, 2.0 * zeta * wn, wn * wn))
+    u = _excitation(rng, kind, n, wn * ts)
+    y, _ = simulate(discretize_zoh(tf_to_ss(plant), ts), u)
+    y = y + noise * np.ptp(y) * rng.standard_normal(n)
+    return DataSet(np.arange(n) * ts, u, y, label=f"{kind} zeta {zeta:.3g} wn {wn:.3g}")
+
+
+def _family_log(seed: int) -> DataSet:
+    """One seeded log of the family the multistart is held to: zeta 0.1..2,
+    wn ts 0.02..0.5 (log-uniform), 2 to 10 periods of 2 pi / wn recorded,
+    noise up to 5 % of the span, and one gain in five negative."""
+    rng = np.random.default_rng(seed)
+    kind = ("step", "prbs", "prbs0", "gauss")[seed % 4]
+    zeta = rng.uniform(0.1, 2.0)
+    wn_ts = math.exp(rng.uniform(math.log(0.02), math.log(0.5)))
+    ts = float(rng.choice([0.001, 0.002, 0.004, 0.01]))
+    n = min(4000, max(200, math.ceil(rng.uniform(2, 10) * 2 * math.pi / wn_ts)))
+    noise = rng.uniform(0.0, 0.05)
+    gain = rng.uniform(0.05, 2.0) * 1e-5 * (-1 if rng.random() < 0.2 else 1)
+    return _second_order_log(rng, kind, zeta, wn_ts / ts, ts, n, noise, gain)
+
+
+def _identify_golden_logs() -> list[DataSet]:
+    """The clean and noisy logs of the identify goldens (tests/data/identify.*)."""
+    plant = load_project().plants["ascension_velocity"]
+    n, ts = 400, 0.004
+    logs = []
+    for seed, noise in ((11, 0.002), (12, 0.08)):
+        rng = np.random.default_rng(seed)
+        u = 250_000.0 * rng.standard_normal(n)
+        y, _ = simulate(discretize_zoh(tf_to_ss(plant), ts), u)
+        y = y + noise * (np.max(y) - np.min(y)) * rng.standard_normal(n)
+        logs.append(DataSet(np.arange(n) * ts, u, y, label=f"golden {seed}"))
+    return logs
+
+
+def _acceptance_05_logs() -> list[DataSet]:
+    """The 20 logs of test_acceptance_05: both velocity plants, seeds 0..9."""
+    n, ts = 250, 0.004
+    logs = []
+    for plant in (ASC_MODEL, DECL_MODEL):
+        dss = discretize_zoh(tf_to_ss(plant), ts)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            u = 250_000.0 * rng.standard_normal(n)
+            y, _ = simulate(dss, u)
+            y = y + 0.01 * float(np.ptp(y)) * rng.standard_normal(n)
+            logs.append(DataSet(np.arange(n) * ts, u, y, label=f"acc05 {seed}"))
+    return logs
+
+
+def _single_start_sinkers() -> list[DataSet]:
+    """Logs like the three on which polishing only the cheapest start ended
+    far above the five-start cost (530x on the PRBS one)."""
+    return [
+        _second_order_log(np.random.default_rng(1), "prbs", 0.54, 8.0, 0.004, 2402, 0.01),
+        _second_order_log(np.random.default_rng(2), "step", 0.22, 119.0, 0.001, 1903, 0.03),
+        _second_order_log(np.random.default_rng(3), "gauss", 1.56, 2.3, 0.01, 2506, 0.01),
+    ]
+
+
+def test_the_default_multistart_never_ends_above_the_five_start_cost():
+    logs = _identify_golden_logs() + _acceptance_05_logs() + _single_start_sinkers()
+    # seeds 120 on, the family logs on which a sketch of this search ended
+    # above the five-start cost: stopping on two starts that agree on a poor
+    # fit (810, 1458, 1626, 2022, 2534, 3918), and instruments from the
+    # cheapest start alone (2587)
+    seeds = [*range(120), 810, 1458, 1626, 2022, 2534, 2587, 3918]
+    logs += [_family_log(seed) for seed in seeds]
+    kinds = Counter(ds.label.split()[0] for ds in logs)
+    assert all(kinds[k] >= 30 for k in ("step", "prbs", "prbs0", "gauss"))
+    for ds in logs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = fit_second_order(ds)
+        theta = np.array((rep.model.num[0], rep.model.den[1], rep.model.den[2]))
+        _, cost = sysid._cost(theta, ds.u, ds.y, ds.ts)
+        ref = _multistart_reference(ds)[1]
+        assert cost <= ref * (1.0 + 1e-9) + 1e-20 * float(ds.y @ ds.y), ds.label
+
+
+def _plant_theta(b0, zeta, wn):
+    return b0, 2.0 * zeta * wn, wn * wn
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        _plant_theta(0.09809, 0.66, 39.6),  # complex pair
+        _plant_theta(0.1267, 1.8, 44.9),  # real pair
+        _plant_theta(0.05, 1.0, 25.0),  # repeated pole
+        _plant_theta(-0.02, 0.3, 80.0),  # negative gain
+        _plant_theta(-0.3, 2.5, 12.0),  # negative gain, real pair
+    ],
+)
+def test_the_arx_seed_recovers_a_noiseless_plant(theta):
+    ts, n = 0.004, 600
+    plant = TransferFunction((theta[0],), (1.0, theta[1], theta[2]))
+    u = 250_000.0 * np.random.default_rng(8).standard_normal(n)
+    y, _ = simulate(discretize_zoh(tf_to_ss(plant), ts), u)
+    got = sysid._arx_seed(u, y, ts)
+    assert got is not None
+    for g, w in zip(got, theta):
+        assert g == pytest.approx(w, rel=1e-8)
+
+
+def test_the_arx_map_refuses_poles_without_a_continuous_preimage():
+    ts = 0.004
+    # alpha2 = z1 z2 <= 0: a pole at zero, or real poles of opposite signs
+    assert sysid._arx_to_continuous(-0.9, 0.0, 1e-6, ts) is None
+    assert sysid._arx_to_continuous(-0.2, -0.15, 1e-6, ts) is None  # z = 0.5, -0.3
+    # both poles real and negative: z = -0.5, -0.3
+    assert sysid._arx_to_continuous(0.8, 0.15, 1e-6, ts) is None
+    # one negative real pole with the other positive already has alpha2 < 0;
+    # a positive real pair maps
+    assert sysid._arx_to_continuous(-0.8, 0.15, 1e-6, ts) is not None
+
+
+def test_instrumental_variables_undo_the_bias_of_plain_arx_under_noise():
+    # 5 % output noise on a zero-mean Gaussian drive: least squares finds no
+    # model, the IV estimate from the cheapest fanned start's simulated
+    # output lands near the plant
+    truth = (0.1267, 34.72, 2018.0)
+    ts, n = 0.01, 2000
+    rng = np.random.default_rng(17)
+    u = 250_000.0 * rng.standard_normal(n)
+    y, _ = simulate(discretize_zoh(tf_to_ss(DECL_MODEL), ts), u)
+    y = y + 0.05 * np.ptp(y) * rng.standard_normal(n)
+    ds = DataSet(np.arange(n) * ts, u, y)
+    assert sysid._arx_seed(u, y, ts) is None
+    r, _ = min(
+        (sysid._cost(np.array(seed), u, y, ts) for seed in sysid._default_seeds(ds)),
+        key=lambda priced: priced[1],
+    )
+    got = sysid._arx_seed(u, y, ts, r + y)
+    assert got is not None
+    for g, w in zip(got, truth):
+        assert g == pytest.approx(w, rel=0.05)
+
+
+def test_the_multistart_evaluates_the_model_at_most_half_as_often(monkeypatch):
+    # the five-start multistart made 538 _cost + _jacobian calls on this log
+    # (324 + 214); the ARX/IV screen stops after polishing two starts
+    ds = _identify_golden_logs()[0]
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_cost", "_jacobian"):
+        monkeypatch.setattr(sysid, name, spy(name, getattr(sysid, name)))
+    fit_second_order(ds)
+    assert calls["_cost"] + calls["_jacobian"] <= 538 // 2
 
 
 # ---------------------------------------------------------------------------
