@@ -28,7 +28,7 @@ from .lti import (
     system_type,
     tf_to_ss,
 )
-from .metrics import CONSTANTS, Requirement, analyze_step, check_requirements, ess_bound
+from .metrics import CONSTANTS, Requirement, analyze_step, ess_bound
 
 __all__ = [
     "ActuatorLimits",
@@ -44,6 +44,8 @@ __all__ = [
     "pid_closed_loop_poles",
     "sf_closed_loop_poles",
     "tune_pid",
+    # the judge tune_pid runs through simloop, for callers that look it up here
+    "analyze_step",
 ]
 
 
@@ -510,11 +512,12 @@ def tune_pid(
     Fully deterministic: analytic pole-placement / loop-shaping seeds, a
     coarse log grid, then up to two rounds of multiplicative local refinement
     around the best near-miss. Each distinct gain set gets at most one
-    decay-rate screen, one short screening run and one full-length run.
-    Every returned gain set has been verified by simulating the saturated
-    loop long enough to confirm tss, overshoot and steady-state error. The
-    plant must be BIBO stable or integrating with otherwise stable poles.
-    Raises TuningError when nothing passes.
+    decay-rate screen, one short screening run and one full-length run,
+    each judged by :func:`gemservo.simloop.run_and_judge`, the judge of the
+    study suites. Every returned gain set has been verified by simulating
+    the saturated loop long enough to confirm tss, overshoot and
+    steady-state error. The plant must be BIBO stable or integrating with
+    otherwise stable poles. Raises TuningError when nothing passes.
     """
     from . import simloop  # deferred: simloop imports this module at load time
 
@@ -527,16 +530,15 @@ def tune_pid(
 
     def judge(gains: PidGains, duration: float):
         """(verdict, metrics) of the requirement's step run for ``duration``,
-        or None if the loop diverged."""
+        or None if the loop diverged or its trace has no step metrics."""
         case = simloop.TrackingCase(
             label="", plant=plant, controller=gains, requirement=req, ts=ts,
             limits=limits,
         )
-        trace = simloop.run(case.step_scenario(duration))
-        if trace.diverged:
-            return None
-        m = analyze_step(trace, band_pct)
-        return check_requirements(m, req), m
+        _, m, verdict = simloop.run_and_judge(
+            case.step_scenario(duration), req, band_pct
+        )
+        return None if verdict is None else (verdict, m)
 
     @functools.cache
     def decay_rate(gains: PidGains) -> float | None:

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# Points of the largest workspace grid: 40 MB of samples, a CSV of about
+# 75 MB and some 10 s of sampling
+_MAX_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class MountGeometry:
     """Link lengths and polar-axis tilt (site latitude), radians."""
@@ -50,6 +55,10 @@ class MountGeometry:
         if not (math.isfinite(self.alpha) and abs(self.alpha) < math.pi / 2):
             raise ValueError(
                 f"alpha must lie in (-pi/2, pi/2) radians, got {self.alpha}"
+            )
+        if not math.isfinite(self.radius_sq):
+            raise ValueError(
+                f"l1^2 + l2^2 must be finite, got l1={self.l1}, l2={self.l2}"
             )
 
     @property
@@ -143,13 +152,24 @@ def workspace(
 
     Returns an (n_theta1 * n_theta2, 5) array with rows
     (theta1, theta2, x, y, z), theta1-major. Grid endpoints are included.
+    A grid of more than ``_MAX_POINTS`` points is refused.
     """
     if n_theta1 < 2 or n_theta2 < 2:
         raise ValueError(
             f"grid needs at least 2 points per axis, got {n_theta1} x {n_theta2}"
         )
+    if n_theta1 * n_theta2 > _MAX_POINTS:
+        raise ValueError(
+            f"grid of {n_theta1} x {n_theta2} points would need "
+            f"{n_theta1 * n_theta2} samples; limit is {_MAX_POINTS}"
+        )
     lo1, hi1 = (float(v) for v in theta1_range)
     lo2, hi2 = (float(v) for v in theta2_range)
+    for name, lo, hi in (("theta1", lo1, hi1), ("theta2", lo2, hi2)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(
+                f"{name} range must be finite, got [{lo:g}, {hi:g}] rad"
+            )
     if not (lo1 < hi1 and lo2 < hi2):
         raise ValueError("angle ranges must be increasing (lo < hi)")
     t1 = np.linspace(lo1, hi1, n_theta1)

@@ -5,12 +5,12 @@ executes once per sample on the sampled output (ideal sampling by default, an
 optional one-sample loop delay for sensitivity studies). Disturbances inject
 either at the plant input (load) or the plant output (measurement offset).
 Simulations are deterministic: same scenario, same trace. Each kind of loop
-is compiled once into one function (:func:`_loop_factory`) from one sample,
-:func:`_sample_source`: the plant rows of :func:`gemservo.lti._plant_source`
-around the law text of :func:`gemservo.controllers._law_source`, so one run
-is one call. The samples the loop steps are fixed Python float arithmetic,
-every sum taken left to right, so they do not depend on the BLAS build numpy
-runs on either.
+is compiled once into one function (:func:`_loop_factory`) around one
+sample: the plant rows of :func:`gemservo.lti._plant_source` around the law
+text of :func:`gemservo.controllers._law_source`, so one run is one call.
+The samples the loop steps are fixed Python float arithmetic, every sum
+taken left to right, so they do not depend on the BLAS build numpy runs on
+either.
 
 Once the reference and disturbance are constant, a sample is one fixed map
 of the state the loop carries, so a block of samples that ends in the state
@@ -19,7 +19,9 @@ there and :func:`run` fills the rest of the trace with copies of that block:
 the trace stepping every sample gives, to the last bit.
 
 While the actuator does not clamp, that map is also linear, z <- Φ z + g
-(Åström and Wittenmark, *Computer-Controlled Systems*, ch. 2). After a block
+(Åström and Wittenmark, *Computer-Controlled Systems*, ch. 2), and the loop
+linearizes itself: :func:`_loop_map` reads Φ and g off single samples the
+compiled loop steps with its limits open. After a block
 with constant inputs and no clamped command the loop hands its state over,
 and :func:`run` fills the rest in closed form with numpy products, when the
 loop is stable and the predicted commands stay inside the limits. Those
@@ -257,19 +259,14 @@ def _sampled_plant(plant: TransferFunction, ts: float) -> DiscreteStateSpace:
     return discretize_zoh(_as_strictly_proper_ss(plant), ts)
 
 
-def _sample_source(
-    n: int, law: str, inject: str | None, loop_delay: bool
-) -> tuple[list[str], list[str], str, list[str], list[str]]:
-    """One sample of the closed loop as source: (coefficient parameters,
-    carried state, output expression, law statements, plant statements).
-
-    The parameters are the plant rows of :func:`gemservo.lti._plant_source`,
-    the law's gains, ``u_min``, ``u_max`` and ``ts``. The carried state is
-    ``x0`` .. ``x{n-1}``, the law's state and ``u_prev``. The output reads
-    the state (and ``dv[k]`` under an output load); the law statements read
-    ``rv[k]`` and leave ``u_cmd`` and ``u_sat``; the plant statements then
-    advance the carried state. The compiled loop and the probe of
-    :func:`_loop_map` are both built from this text.
+def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
+    """Source of the function :func:`_loop_factory` compiles: one sample of
+    the closed loop, the plant rows of :func:`gemservo.lti._plant_source`
+    around the law text of :func:`gemservo.controllers._law_source`, inside
+    the loop over samples and blocks. The carried state is ``x0`` ..
+    ``x{n-1}``, the law's state and ``u_prev``. The output reads the state
+    (and ``dv[k]`` under an output load); the law reads ``rv[k]`` and leaves
+    ``u_cmd`` and ``u_sat``; the plant rows then advance the carried state.
     """
     plant, output, update = _plant_source(n, "u_in")
     gains, state, _, body = _law_source(law, n)
@@ -279,24 +276,26 @@ def _sample_source(
     if inject == "input":
         u_in += " + dv[k]"
     carried = [f"x{j}" for j in range(n)] + state + ["u_prev"]
-    law_lines = [
-        "r = rv[k]",
-        *(["error = r - y"] if law == "pid" else []),
-        *body.splitlines(),
-    ]
-    plant_lines = [f"u_in = {u_in}", update, "u_prev = u_sat"]
     params = plant + gains + ["u_min", "u_max", "ts"]
-    return params, carried, output, law_lines, plant_lines
-
-
-def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
-    """Source of the function :func:`_loop_factory` compiles."""
-    params, carried, output, law_lines, plant_lines = _sample_source(
-        n, law, inject, loop_delay
-    )
     names = ", ".join(carried)
     zero = ", ".join(["0.0"] * len(carried))
     snapshot = f"_pack({names})"
+    sample = [
+        f"y = {output}",
+        "yv[k] = y",
+        "if not -lim <= y <= lim:",
+        "    uv[k] = u_prev",
+        f"    usv[k] = {_clamp_source('u_prev')}",
+        "    return k + 1, True, None",
+        "r = rv[k]",
+        *(["error = r - y"] if law == "pid" else []),
+        *body.splitlines(),
+        "uv[k] = u_cmd",
+        "usv[k] = u_sat",
+        f"u_in = {u_in}",
+        update,
+        "u_prev = u_sat",
+    ]
     lines = [
         "from struct import Struct",
         f"_pack = Struct('{len(carried)}d').pack",
@@ -306,16 +305,7 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
         f"    last = {snapshot}",
         f"    for k0 in range(start, len(yv), {_BLOCK}):",
         f"        for k in range(k0, min(k0 + {_BLOCK}, len(yv))):",
-        f"            y = {output}",
-        "            yv[k] = y",
-        "            if not -lim <= y <= lim:",
-        "                uv[k] = u_prev",
-        f"                usv[k] = {_clamp_source('u_prev')}",
-        "                return k + 1, True, None",
-        *(f"            {line}" for line in law_lines),
-        "            uv[k] = u_cmd",
-        "            usv[k] = u_sat",
-        *(f"            {line}" for line in plant_lines),
+        *(f"            {line}" for line in sample),
         f"        now = {snapshot}",
         "        if now == last and k0 >= k_steady:",
         "            return k + 1, False, None",
@@ -323,7 +313,7 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
         f"        if (hand_over and k0 >= k_steady and k + {_BLOCK} < len(yv)",
         "                and uv[k0:k + 1] == usv[k0:k + 1]):",
         f"            return k + 1, False, ({names},)",
-        "    return len(yv), False, None",
+        f"    return len(yv), False, ({names},)",
     ]
     return "\n".join(lines) + "\n"
 
@@ -333,13 +323,14 @@ def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
     """Compile, once per (plant order, ``"pid"`` or ``"sf"`` law, disturbance
     injection, loop delay), the whole sample loop of :func:`run`.
 
-    The body is the sample of :func:`_sample_source`, straight-line float
+    The body is the sample of :func:`_loop_source`, straight-line float
     statements over locals, between the writes of the trace and the
     divergence guard. The plant coefficients, gains, limits, ts and the
-    divergence limit are arguments, and the signals are memoryviews. The
-    loop steps from sample ``start`` and carried state ``z`` (zero by
-    default) and returns (samples recorded, diverged, state handed over or
-    None).
+    divergence limit are arguments, and the signals are memoryviews (lists
+    in the single samples of :func:`_loop_map`). The loop steps from sample
+    ``start`` and carried state ``z`` (zero by default) and returns (samples
+    recorded, diverged, carried state or None): the state when it hands over
+    or reaches the last sample, None when it diverges or repeats.
 
     A sample reads, besides the arguments and its inputs, only the carried
     state: ``x0`` .. ``x{n-1}``, the law's state and ``u_prev``. A block of
@@ -355,31 +346,6 @@ def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
     return _compile(_loop_source(n, law, inject, loop_delay), "loop")
 
 
-def _probe_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
-    """Source of the function :func:`_probe_factory` compiles."""
-    params, carried, output, law_lines, plant_lines = _sample_source(
-        n, law, inject, loop_delay
-    )
-    zero = ", ".join(["0.0"] * len(carried))
-    lines = [
-        f"def probe({', '.join(params)}, rv, dv, z=({zero},)):",
-        "    k = 0",
-        f"    {', '.join(carried)} = z",
-        f"    y = {output}",
-        *(f"    {line}" for line in law_lines + plant_lines),
-        f"    return {', '.join(carried)}, y, u_cmd",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-@functools.cache
-def _probe_factory(n: int, law: str, inject: str | None, loop_delay: bool):
-    """Compile one sample of :func:`_sample_source` as a function of (the
-    loop's coefficient parameters, ``rv``, ``dv``, carried state) that
-    returns (next carried state..., y, u_cmd) of sample 0."""
-    return _compile(_probe_source(n, law, inject, loop_delay), "probe")
-
-
 def _loop_map(
     dss: DiscreteStateSpace,
     gains: PidGains | StateFeedbackGains,
@@ -392,17 +358,27 @@ def _loop_map(
     """One sample of the loop with the limits open, under constant reference
     ``r`` and disturbance ``d``, as the affine map (Φ, g, P, q): the carried
     state steps as z <- Φ z + g, and the sample's output and command are
-    P z + q. The probe of :func:`_probe_factory` runs once from the zero
-    state with the inputs, for g and q, and once from each unit state with
-    zero inputs, for the columns of Φ and P."""
+    P z + q. The compiled loop of :func:`_loop_factory`, which returns the
+    zero state it starts from when it steps no sample, steps one sample from
+    that state with the inputs, for g and q, and one from each unit state
+    with zero inputs, for the columns of Φ and P, with the limits and the
+    divergence guard open, the repeated-state check and the hand-over off.
+    A sample whose output is NaN, which the guard stops, gives a NaN column.
+    """
     law = "pid" if isinstance(gains, PidGains) else "sf"
-    probe = _probe_factory(dss.order, law, inject, loop_delay)
-    args = (*_plant_coefficients(dss), *_law_gains(gains), -math.inf, math.inf, ts)
-    base = probe(*args, (r,), (d,))
-    m = len(base) - 2
-    cols = np.array([probe(*args, (0.0,), (0.0,), tuple(e))
-                     for e in np.eye(m).tolist()]).T
-    base = np.array(base)
+    loop = _loop_factory(dss.order, law, inject, loop_delay)
+    args = (*_plant_coefficients(dss), *_law_gains(gains), -math.inf, math.inf,
+            ts, math.inf)
+    zero = loop(*args, (), (), [], [], [], 1)[2]
+    m = len(zero)
+
+    def sample(r: float, d: float, z: tuple[float, ...]) -> list[float]:
+        u, y = [0.0], [0.0]
+        _, _, z = loop(*args, (r,), (d,), u, [0.0], y, 1, 0, False, z)
+        return [*z, *y, *u] if z is not None else [math.nan] * (m + 2)
+
+    base = np.array(sample(r, d, zero))
+    cols = np.array([sample(0.0, 0.0, tuple(e)) for e in np.eye(m).tolist()]).T
     return cols[:m], base[:m], cols[m:], base[m:]
 
 
@@ -559,7 +535,7 @@ def run(scenario: Scenario) -> SimTrace:
         _steady_from(r, d),
     )
     end, diverged, z = loop(*args)
-    if z is not None:
+    if z is not None and end < N:
         if _closed_form_tail(
             scenario, dss, limits, z, r[end], d[end] if d is not None else 0.0,
             y_arr[end:], u_arr[end:],
@@ -714,12 +690,12 @@ def discrete_loop_matrix(
     For a PID the state is [plant x, integral, filtered derivative, previous
     error]; for state feedback it is [plant x, integral]. It is the leading
     block of the Φ of :func:`_loop_map`: column j is one sample of the loop
-    :func:`run` compiles, started from the unit state e_j with the reference
-    at zero and the actuator limits open, so the matrix follows the law text
-    of ``pid_step``/``sf_step`` by construction. Its spectral radius
-    decides whether the simulated loop is stable — which the continuous-time
-    pole helpers cannot, since aggressive gains that look fine in continuous
-    time can destabilize the 10 ms loop.
+    :func:`run` steps, the same compiled function, started from the unit
+    state e_j with the reference at zero and the actuator limits open, so
+    the matrix follows the law text of ``pid_step``/``sf_step`` by
+    construction. Its spectral radius decides whether the simulated loop is
+    stable — which the continuous-time pole helpers cannot, since aggressive
+    gains that look fine in continuous time can destabilize the 10 ms loop.
     """
     dss = _sampled_plant(plant, ts)
     if not isinstance(controller, PidGains):

@@ -15,8 +15,8 @@ optimizer is a damped Gauss-Newton (Levenberg-Marquardt) iteration over
 the same model). Its starts are screened, not all polished: the fanned
 rise-time seeds and linear ARX(2,2) and instrumental-variable estimates are
 each priced with one simulation, LM polishes the two cheapest and stops when
-they agree on a good fit, and polishes every start otherwise. Fitting needs
-numpy only.
+they agree on a good fit, and polishes every start otherwise. A fit reports
+the metrics of the same simulation it minimized. Fitting needs numpy only.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lti import (
-    TransferFunction,
-    discretize_zoh,
-    is_bibo_stable,
-    simulate,
-    tf_to_ss,
-)
+from .lti import TransferFunction, discretize_zoh, is_bibo_stable, simulate
 
 __all__ = [
     "DataSet",
@@ -48,6 +42,9 @@ __all__ = [
     "fit_second_order",
     "select_best",
     "integrator_augment",
+    # the model pipeline, as functions, for callers that look them up here
+    "discretize_zoh",
+    "simulate",
 ]
 
 # Drive commands are PWM frequencies; healthy records peak in the 1e5..3.5e5
@@ -749,8 +746,9 @@ def fit_second_order(
     simulation error, LM from the two cheapest, or from all of them unless
     those two agree on a good fit, and the lowest final cost wins. An
     explicit guess (a strictly proper second-order TransferFunction, or a raw
-    (b0, a1, a0) triple) replaces the multistart entirely. The returned metrics are evaluated with the standard
-    model pipeline (ZOH discretization + simulation), p = 3 parameters.
+    (b0, a1, a0) triple) replaces the multistart entirely. The returned
+    metrics are those of the simulation the fit minimized, the residual of
+    :func:`_cost` at the optimum, with p = 3 parameters.
     """
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter}")
@@ -779,8 +777,8 @@ def fit_second_order(
         )
     theta, _, n_iter, converged = best
     model = TransferFunction((theta[0],), (1.0, theta[1], theta[2]))
-    y_hat, _ = simulate(discretize_zoh(tf_to_ss(model), ds.ts), ds.u)
-    metrics = fit_metrics(ds.y, y_hat, 3)
+    r, _ = _cost(theta, ds.u, ds.y, ds.ts)
+    metrics = fit_metrics(ds.y, ds.y + r, 3)
     return FitReport(
         model=model,
         fit_pct=metrics.fit_pct,

@@ -598,6 +598,31 @@ def test_tune_pid_simulates_each_distinct_run_once(plant, req, limits, n_runs,
     assert len(runs) == len(set(runs)) == n_runs
 
 
+def test_tune_pid_judges_every_run_through_run_and_judge(monkeypatch):
+    # the tuner has no run-then-judge sequence of its own: each of its 43
+    # runs on declination_velocity (see the test above) is the run of one
+    # run_and_judge call, with the requirement and band the tuner was given
+    plant = PROJECT.plants["declination_velocity"]
+    req = PROJECT.requirements["declination_velocity"]
+    runs, judged = [], []
+    real_run, real_judge = simloop.run, simloop.run_and_judge
+
+    def counting_run(scen):
+        runs.append(scen)
+        return real_run(scen)
+
+    def counting_judge(scen, requirement, band_pct):
+        judged.append((scen, requirement, band_pct))
+        return real_judge(scen, requirement, band_pct)
+
+    monkeypatch.setattr(simloop, "run", counting_run)
+    monkeypatch.setattr(simloop, "run_and_judge", counting_judge)
+    tune_pid(plant, req, ts=PROJECT.ts, limits=PROJECT.limits, band_pct=3.0)
+    assert len(judged) == 43
+    assert runs == [scen for scen, _, _ in judged]
+    assert {(r, b) for _, r, b in judged} == {(req, 3.0)}
+
+
 def test_tune_pid_rejects_unstable_plant():
     with pytest.raises(ValueError, match="left half-plane"):
         tune_pid(

@@ -2,8 +2,9 @@
 module imports scipy at all, each kind of input file has one reader, each
 control law and each judging rule is spelled once, the closed loop's sample
 is assembled once, only ``SimTrace`` reads the clamp off a trace, every
-function the benchmark traces still exists, and only ``cli.main`` writes
-stdout."""
+function the benchmark traces still exists, only ``cli.main`` writes
+stdout, only ``simloop.run_and_judge`` runs a loop and judges it, and no
+package module runs a second simulator of a model through ``simulate``."""
 
 import ast
 import importlib
@@ -230,7 +231,7 @@ def test_windup_detector_flags_and_exempts(tmp_path):
     assert _windup_conditions(src) == ["mod.py:2", "mod.py:7", "mod.py:8"]
 
 
-def _sample_text_calls(path: Path, builder: str = "_sample_source") -> list[str]:
+def _sample_text_calls(path: Path, builder: str = "_loop_source") -> list[str]:
     """Calls of ``_plant_source`` or ``_law_source`` in a module outside its
     top-level function ``builder``, as ``file:line: call``."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -247,10 +248,11 @@ def _sample_text_calls(path: Path, builder: str = "_sample_source") -> list[str]
     return [hit for _, hit in sorted(hits)]
 
 
-def test_the_loop_and_its_probe_share_one_sample():
-    # simloop's compiled loop and the probe that linearizes it for the
-    # closed-form tail and discrete_loop_matrix are both built from
-    # _sample_source; a second assembly of the plant and law text drifts
+def test_only_the_loop_source_assembles_the_sample():
+    # simloop's compiled loop is the one assembly of the plant and law text:
+    # it also linearizes itself for the closed-form tail and
+    # discrete_loop_matrix, so a second assembly, which could drift, has no
+    # place in simloop
     simloop = PACKAGE / "simloop.py"
     assert _sample_text_calls(simloop) == []
     assert len(_sample_text_calls(simloop, builder=None)) == 2
@@ -260,14 +262,14 @@ def test_sample_text_detector_flags_and_exempts(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(
         "from . import lti\n"
-        "def _sample_source(n):\n"
+        "def _loop_source(n):\n"
         "    return _plant_source(n, 'u'), _law_source('pid', n)\n"
         "def other(n):\n"
         "    rows = lti._plant_source(n, 'u_in')\n"
         "    text = '_law_source(law, n)'\n"
         "    return rows, _law_source, _law_gains(n)\n"
         "class K:\n"
-        "    def _sample_source(self, n):\n"
+        "    def _loop_source(self, n):\n"
         "        return _law_source('sf', n)\n"
     )
     assert _sample_text_calls(src) == [
@@ -397,6 +399,104 @@ def test_command_comparison_detector_flags_and_exempts(tmp_path):
         "mod.py:3: f",
         "mod.py:4: f",
         "mod.py:10: T",
+    ]
+
+
+def _own_calls(fn: ast.FunctionDef) -> set[str]:
+    """The last name of each call in a function, outside the functions
+    defined inside it."""
+    names, todo = set(), list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Call):
+            names.add(ast.unparse(node.func).rsplit(".", 1)[-1])
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _run_then_judge(path: Path) -> list[str]:
+    """Functions in a module, nested ones included, that call ``run`` and
+    also ``analyze_step`` or ``check_requirements``, as ``file:line: name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = _own_calls(node)
+            if "run" in calls and calls & {"analyze_step", "check_requirements"}:
+                hits.append((node.lineno, f"{path.name}:{node.lineno}: {node.name}"))
+    return [hit for _, hit in sorted(hits)]
+
+
+def test_only_run_and_judge_runs_a_loop_and_judges_it():
+    # the tuner and the study suites judge a step run the same way only if
+    # they all call simloop.run_and_judge; a second run-then-judge sequence
+    # drifts from it (which traces get metrics, when a verdict is None)
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    hits = [hit for path in modules for hit in _run_then_judge(path)]
+    assert [(h.split(":")[0], h.rsplit(" ", 1)[1]) for h in hits] == [
+        ("simloop.py", "run_and_judge")
+    ]
+
+
+def test_run_then_judge_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import simloop\n"
+        "def tune(plant):\n"
+        "    def judge(scen):\n"
+        "        return analyze_step(simloop.run(scen))\n"
+        "    return judge\n"
+        "def suite(scen, m, req):\n"
+        "    trace = run(scen)\n"
+        "    return trace, metrics.check_requirements(m, req)\n"
+        "def replay(scen):\n"
+        "    trace = run(scen)\n"
+        "    return trace, 'analyze_step', run_and_judge(scen)\n"
+        "def report(trace, req):\n"
+        "    return check_requirements(analyze_step(trace), req)\n"
+    )
+    assert _run_then_judge(src) == ["mod.py:3: judge", "mod.py:6: suite"]
+
+
+def _simulate_calls(path: Path) -> list[str]:
+    """Calls of ``simulate`` in a module, as ``file:line: call``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            call = ast.unparse(node.func)
+            if call.rsplit(".", 1)[-1] == "simulate":
+                hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
+    return [hit for _, hit in sorted(hits)]
+
+
+def test_no_package_module_calls_simulate():
+    # each model the package simulates has one simulator: the fit its
+    # blocked convolution (sysid._cost), the closed loop its compiled loop.
+    # lti.simulate stays public API and the tests' reference; a package call
+    # of it is a second simulation of a model already simulated
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    assert [hit for path in modules for hit in _simulate_calls(path)] == []
+
+
+def test_simulate_call_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import lti\n"
+        "from .lti import simulate\n"
+        "def fit(model, u):\n"
+        "    y_hat, _ = simulate(model, u)\n"
+        "    return y_hat, lti.simulate(model, u)[0]\n"
+        "def cmd_simulate(args):\n"
+        "    return 'simulate(model, u)', simulated(args), simulate\n"
+    )
+    assert _simulate_calls(src) == [
+        "mod.py:4: simulate",
+        "mod.py:5: lti.simulate",
     ]
 
 

@@ -9,6 +9,7 @@ import math
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -877,7 +878,9 @@ _Call = namedtuple("_Call", "start end n diverged handed_over")
 
 def _recording(calls):
     """A stand-in for ``simloop._loop_factory`` whose loops append a
-    ``_Call`` to ``calls`` each time they run."""
+    ``_Call`` to ``calls`` each time they step a run. The single samples
+    that linearize the loop for ``_loop_map`` (their buffers are lists) are
+    not recorded."""
     factory = simloop._loop_factory
 
     def recording(*key):
@@ -889,9 +892,10 @@ def _recording(calls):
             bound = signature.bind(*args)
             bound.apply_defaults()
             end, diverged, state = loop(*args)
-            calls.append(_Call(bound.arguments["start"], end,
-                               len(bound.arguments["yv"]), diverged,
-                               state is not None))
+            yv = bound.arguments["yv"]
+            if not isinstance(yv, list):
+                calls.append(_Call(bound.arguments["start"], end, len(yv),
+                                   diverged, state is not None and end < len(yv)))
             return end, diverged, state
 
         return call
@@ -1285,6 +1289,26 @@ def test_a_ramp_is_never_handed_over(loop_ends):
     assert loop_ends[0].end == loop_ends[0].n
 
 
+def test_a_sample_the_divergence_guard_stops_gives_a_nan_column():
+    # _loop_map steps single samples of the compiled loop; one whose output
+    # is NaN stops at the guard and returns no state. A validated model
+    # cannot give one from the states _loop_map starts at, so this stand-in
+    # has an infinite output coefficient: 0 * inf is NaN from the zero state
+    # and from e_1, while e_0 reads an infinite output, which the open guard
+    # lets through
+    plant = SimpleNamespace(
+        order=2, Ad=np.diag([0.5, 0.5]), Bd=np.array([[1.0], [0.0]]),
+        C=np.array([[math.inf, 1.0]]),
+    )
+    phi, g, p, q = simloop._loop_map(
+        plant, PidGains(kp=1.0, ki=0.5, kd=0.0), 0.01, None, False, 1.0, 0.0
+    )
+    assert phi.shape == (6, 6) and p.shape == (2, 6)
+    assert np.isnan(g).all() and np.isnan(q).all()
+    assert np.isnan(phi[:, 1]).all() and np.isnan(p[:, 1]).all()
+    assert p[0, 0] == math.inf
+
+
 def test_a_diverging_loop_refuses_the_tail(loop_ends):
     # unstable when sampled at 10 ms (spectral radius 1.013): unclamped
     # under open limits, it hands over, has the tail refused, and steps on
@@ -1437,9 +1461,10 @@ def test_the_repeated_state_holds_every_local_a_sample_reads_first(
     first = _first_reads(sample.body, set()) - params - {"k"}
     assert {f"x{j}" for j in range(n)} | {"u_prev"} <= first
     assert first <= set(packed[0])
-    # the state the loop hands over, and the one it resumes from, are the
-    # packed names in the packed order
-    (handed,) = [
+    # every state the loop returns (the hand-over, and the last sample's,
+    # which linearizes the loop) and the one it resumes from are the packed
+    # names in the packed order
+    returned = [
         [a.id for a in node.value.elts[2].elts] for node in ast.walk(loop)
         if isinstance(node, ast.Return)
         and isinstance(node.value.elts[2], ast.Tuple)
@@ -1448,8 +1473,4 @@ def test_the_repeated_state_holds_every_local_a_sample_reads_first(
         [a.id for a in node.targets[0].elts] for node in loop.body
         if isinstance(node, ast.Assign) and ast.unparse(node.value) == "z"
     ]
-    assert handed == resumed == packed[0]
-    # the probe that linearizes the loop steps the same state
-    (probe,) = ast.parse(simloop._probe_source(n, law, inject, loop_delay)).body
-    (returned,) = [node.value for node in probe.body if isinstance(node, ast.Return)]
-    assert [a.id for a in returned.elts] == packed[0] + ["y", "u_cmd"]
+    assert returned == [packed[0], packed[0]] and resumed == packed[0]
