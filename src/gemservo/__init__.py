@@ -14,155 +14,24 @@ workspace computation (:mod:`gemservo.kinematics`), and JSON config plumbing
 pipeline end to end.
 """
 
-from .controllers import (
-    DEFAULT_LIMITS,
-    ActuatorLimits,
-    PidGains,
-    PidState,
-    StateFeedbackGains,
-    TuningError,
-    closed_loop_matrix,
-    pid_closed_loop_poles,
-    pid_step,
-    place_poles,
-    sf_closed_loop_poles,
-    sf_step,
-    tune_pid,
-)
-from .kinematics import (
-    DEFAULT_GEOMETRY,
-    EffectorPos,
-    JointAngles,
-    MountGeometry,
-    direct,
-    inverse,
-    workspace,
-    write_workspace_csv,
-)
-from .lti import (
-    DiscreteStateSpace,
-    StateSpace,
-    TransferFunction,
-    dc_gain,
-    discretize_zoh,
-    is_bibo_stable,
-    poles,
-    second_order_character,
-    simulate,
-    system_type,
-    tf_to_ss,
-)
-from .metrics import (
-    CONSTANTS,
-    Constants,
-    DisturbanceMetrics,
-    Requirement,
-    RequirementVerdict,
-    StepMetrics,
-    analyze_disturbance,
-    analyze_step,
-    check_requirements,
-    table_report,
-)
-from .simloop import (
-    DisturbanceRow,
-    DisturbanceSpec,
-    Scenario,
-    SignalSpec,
-    SimTrace,
-    TrackingCase,
-    TrackingRow,
-    discrete_loop_matrix,
-    max_control,
-    read_trace_csv,
-    run,
-    run_disturbance_suite,
-    run_tracking_suite,
-    write_trace_csv,
-)
-from .sysid import (
-    DataSet,
-    FitMetrics,
-    FitReport,
-    fit_metrics,
-    fit_second_order,
-    integrator_augment,
-    load_dataset,
-    select_best,
-)
+from . import controllers, kinematics, lti, metrics, simloop, sysid
+from .lti import *
+from .sysid import *
+from .controllers import *
+from .simloop import *
+from .metrics import *
+from .kinematics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
+# Each module's __all__ is its list of public names. A name two lists share
+# is one object, re-exported where a caller looks it up, and is listed once.
+__all__ = list(dict.fromkeys([
     "__version__",
-    # lti
-    "TransferFunction",
-    "StateSpace",
-    "DiscreteStateSpace",
-    "tf_to_ss",
-    "discretize_zoh",
-    "simulate",
-    "system_type",
-    "poles",
-    "dc_gain",
-    "is_bibo_stable",
-    "second_order_character",
-    # sysid
-    "DataSet",
-    "FitMetrics",
-    "FitReport",
-    "load_dataset",
-    "fit_metrics",
-    "fit_second_order",
-    "select_best",
-    "integrator_augment",
-    # controllers
-    "ActuatorLimits",
-    "DEFAULT_LIMITS",
-    "PidGains",
-    "PidState",
-    "StateFeedbackGains",
-    "TuningError",
-    "pid_step",
-    "sf_step",
-    "closed_loop_matrix",
-    "place_poles",
-    "pid_closed_loop_poles",
-    "sf_closed_loop_poles",
-    "tune_pid",
-    # simloop
-    "SignalSpec",
-    "DisturbanceSpec",
-    "Scenario",
-    "SimTrace",
-    "run",
-    "max_control",
-    "write_trace_csv",
-    "read_trace_csv",
-    "TrackingCase",
-    "TrackingRow",
-    "DisturbanceRow",
-    "run_tracking_suite",
-    "run_disturbance_suite",
-    "discrete_loop_matrix",
-    # metrics
-    "Constants",
-    "CONSTANTS",
-    "StepMetrics",
-    "DisturbanceMetrics",
-    "Requirement",
-    "RequirementVerdict",
-    "analyze_step",
-    "analyze_disturbance",
-    "check_requirements",
-    "table_report",
-    # kinematics
-    "MountGeometry",
-    "JointAngles",
-    "EffectorPos",
-    "DEFAULT_GEOMETRY",
-    "direct",
-    "inverse",
-    "workspace",
-    "write_workspace_csv",
-]
+    *lti.__all__,
+    *sysid.__all__,
+    *controllers.__all__,
+    *simloop.__all__,
+    *metrics.__all__,
+    *kinematics.__all__,
+]))

@@ -97,6 +97,7 @@ __all__ = [
     "DisturbanceRow",
     "run_tracking_suite",
     "run_disturbance_suite",
+    "discrete_loop_matrix",
     # the laws the loop inlines, as functions, for callers that look them up here
     "pid_step",
     "sf_step",
@@ -594,14 +595,10 @@ def max_control(trace: SimTrace) -> float:
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """Write the trace as a t,r,e,u,u_sat,y CSV (deterministic formatting)."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,r,e,u,u_sat,y\n")
-        for k in range(len(trace)):
-            fh.write(
-                f"{trace.t[k]:.12g},{trace.r[k]:.12g},{trace.e[k]:.12g},"
-                f"{trace.u[k]:.12g},{trace.u_sat[k]:.12g},{trace.y[k]:.12g}\n"
-            )
+    rows = np.column_stack((trace.t, trace.r, trace.e, trace.u, trace.u_sat, trace.y))
+    with open(path, "w", newline="") as fh:  # plain text, whatever the suffix
+        np.savetxt(fh, rows, fmt="%.12g", delimiter=",",
+                   header="t,r,e,u,u_sat,y", comments="")
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
@@ -614,7 +611,10 @@ def read_trace_csv(path: str | Path) -> SimTrace:
     t, r, e, u, us, y = np.ascontiguousarray(cols.T)
     dt = np.diff(t)
     ts = float(dt[0])
-    if ts <= 0.0 or np.any(np.abs(dt - ts) > 1e-6 * ts):
+    # the writer rounds each time to 12 digits, by up to 5e-12 of it, and a
+    # spacing is compared with the first through four such times
+    slack = 1e-6 * ts + 2e-11 * np.maximum(np.abs(t[1:]), abs(t[0]))
+    if ts <= 0.0 or np.any(np.abs(dt - ts) > slack):
         raise ValueError(f"{path}: t column must be uniformly increasing")
     return SimTrace(t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts, diverged=False)
 

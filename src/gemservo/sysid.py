@@ -86,11 +86,13 @@ class DataSet:
         ts = float(np.median(dt))
         if ts <= 0.0 or np.any(dt <= 0.0):
             raise ValueError("t must be strictly increasing")
-        if np.any(np.abs(dt - ts) > 1e-6):
-            k = int(np.argmax(np.abs(dt - ts)))
+        # jitter up to 1 us, and under half a period where that is less
+        off = np.abs(dt - ts)
+        if np.any((off > 1e-6) | (off >= 0.5 * ts)):
+            k = int(np.argmax(off))
             raise ValueError(
                 "t samples must be uniformly spaced; spacing at index "
-                f"{k + 1} is {dt[k]:g}, expected {ts:g}"
+                f"{k + 1} is {dt[k]:.12g}, expected {ts:.12g}"
             )
         for name, arr in arrays.items():
             arr.setflags(write=False)

@@ -4,12 +4,16 @@ control law and each judging rule is spelled once, the closed loop's sample
 is assembled once, only ``SimTrace`` reads the clamp off a trace, every
 function the benchmark traces still exists, only ``cli.main`` writes
 stdout, only ``simloop.run_and_judge`` runs a loop and judges it, and no
-package module runs a second simulator of a model through ``simulate``."""
+package module runs a second simulator of a model through ``simulate``.
+Each public name is declared once, in its module's ``__all__``: the package
+re-exports those lists whole, binds no name by name, and each list names
+only what its module binds."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gemservo"
@@ -17,7 +21,8 @@ PACKAGE = ROOT / "src" / "gemservo"
 
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports at top level but never reads. A name listed in
-    the module's ``__all__`` is a re-export and counts as used."""
+    the module's ``__all__``, as a string constant of a literal or a computed
+    list, is a re-export and counts as used, as does a ``*`` import."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bound: dict[str, int] = {}
     exported: set[str] = set()
@@ -27,11 +32,15 @@ def _unused_imports(path: Path) -> list[str]:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported |= {ast.literal_eval(e) for e in node.value.elts}
+            exported |= {
+                n.value for n in ast.walk(node.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            }
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [
         f"{path.name}:{line}: {name}"
@@ -120,6 +129,17 @@ def test_unused_import_detector_flags_and_exempts(tmp_path):
         "    return pi\n"
     )
     assert _unused_imports(src) == ["mod.py:2: os", "mod.py:4: tau"]
+    # a package that star-imports its modules and computes its __all__
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        "from . import x, y, z\n"
+        "from .x import *\n"
+        "from .y import Named, Other\n"
+        "__version__ = '1'\n"
+        "__all__ = list(dict.fromkeys(['__version__', 'Named', *x.__all__]))\n"
+    )
+    assert _unused_imports(init) == ["__init__.py:1: y", "__init__.py:1: z",
+                                     "__init__.py:3: Other"]
 
 
 def test_package_imports_scipy_only_inside_functions():
@@ -581,3 +601,128 @@ def test_stdout_write_detector_flags_and_exempts(tmp_path):
         "mod.py:13: print",
     ]
     assert len(_stdout_writes(src, writer=None)) == 6
+
+
+# The modules whose __all__ the package re-exports, in the package's order
+_REEXPORTED = ("lti", "sysid", "controllers", "simloop", "metrics", "kinematics")
+
+
+def _named_imports(path: Path) -> list[str]:
+    """Names a module binds by name from another module at top level
+    (``from .x import name``), as ``file:line: name``. A module import
+    (``import x``, ``from . import x``) and a ``*`` import bind none."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.module not in (None, "__future__")
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+def test_the_package_binds_no_name_by_name():
+    # each module's __all__ is the one list of its public names; a named
+    # import in __init__.py would be a second list that can drift from it
+    assert _named_imports(PACKAGE / "__init__.py") == []
+
+
+def test_named_import_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "__init__.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from . import lti, sysid\n"
+        "from .lti import *\n"
+        "from .sysid import DataSet, fit as fit_model\n"
+        "from os.path import join\n"
+        "def f():\n"
+        "    from .lti import poles\n"
+        "    return poles\n"
+    )
+    assert _named_imports(src) == [
+        "__init__.py:5: DataSet",
+        "__init__.py:5: fit_model",
+        "__init__.py:6: join",
+    ]
+
+
+def _reexport_faults(package, modules) -> list[str]:
+    """How ``package.__all__`` departs from ``__version__`` followed by the
+    ``__all__`` of each of ``modules`` in order, each name once, and each
+    name of those lists the package binds to another object than its
+    module does."""
+    listed = list(package.__all__)
+    wanted = list(dict.fromkeys(
+        ["__version__", *(name for m in modules for name in m.__all__)]
+    ))
+    faults = [f"listed twice: {n}" for n in dict.fromkeys(listed)
+              if listed.count(n) > 1]
+    faults += [f"not listed: {n}" for n in wanted if n not in listed]
+    faults += [f"not in a module list: {n}" for n in listed if n not in wanted]
+    if not faults and listed != wanted:
+        faults.append("out of order")
+    unbound = object()
+    faults += [
+        f"{m.__name__}.{n} is not the package's {n}"
+        for m in modules for n in m.__all__
+        if getattr(package, n, None) is not getattr(m, n, unbound)
+    ]
+    return faults
+
+
+def test_the_package_reexports_each_module_list_once():
+    # `from gemservo import X` gives the very object of X's module, for every
+    # name a module lists, the tracer's aliases (ROADMAP item 11) included
+    import gemservo
+
+    modules = [importlib.import_module(f"gemservo.{m}") for m in _REEXPORTED]
+    assert _reexport_faults(gemservo, modules) == []
+
+
+def test_reexport_detector_flags_and_exempts():
+    f, g, h = object(), object(), object()
+    a = SimpleNamespace(__name__="a", __all__=["f", "g"], f=f, g=g)
+    b = SimpleNamespace(__name__="b", __all__=["g", "h"], g=g, h=h)
+    good = SimpleNamespace(__all__=["__version__", "f", "g", "h"], f=f, g=g, h=h)
+    assert _reexport_faults(good, [a, b]) == []
+    swapped = SimpleNamespace(__all__=["__version__", "g", "f", "h"], f=f, g=g, h=h)
+    assert _reexport_faults(swapped, [a, b]) == ["out of order"]
+    bad = SimpleNamespace(__all__=["__version__", "g", "f", "g", "x"],
+                          f=f, g=object(), x=1)
+    assert _reexport_faults(bad, [a, b]) == [
+        "listed twice: g",
+        "not listed: h",
+        "not in a module list: x",
+        "a.g is not the package's g",
+        "b.g is not the package's g",
+        "b.h is not the package's h",
+    ]
+
+
+def _unbound_exports(module) -> list[str]:
+    """Names in a module's ``__all__`` that the module does not bind, as
+    ``module.name``."""
+    return [f"{module.__name__}.{n}" for n in module.__all__
+            if not hasattr(module, n)]
+
+
+def test_every_listed_name_exists_in_its_module():
+    # a star import of a list naming a missing name raises AttributeError
+    # when the package is imported; check each list by itself, cli and
+    # config included, which the package does not re-export
+    stems = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    modules = [importlib.import_module("gemservo")] + [
+        importlib.import_module(f"gemservo.{stem}")
+        for stem in stems if stem not in ("__init__", "__main__")
+    ]
+    assert len(modules) >= 9
+    assert [hit for m in modules for hit in _unbound_exports(m)] == []
+
+
+def test_unbound_export_detector_flags_and_exempts():
+    mod = ModuleType("mod")
+    mod.__all__ = ["a", "b", "__version__"]
+    mod.a = 1
+    assert _unbound_exports(mod) == ["mod.b", "mod.__version__"]

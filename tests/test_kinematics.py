@@ -193,6 +193,20 @@ def test_workspace_is_theta1_major_and_on_sphere():
     np.testing.assert_allclose(rr, DEFAULT_GEOMETRY.radius_sq, rtol=1e-12)
 
 
+def test_workspace_rows_match_direct_at_their_angles():
+    # the grid is sampled with numpy's sin and cos, direct with libm's,
+    # which may differ by one ulp on some builds
+    geom = MountGeometry(l1=1.3, l2=0.4, alpha=math.radians(-31.0))
+    pts = workspace(geom, 9, 11, theta1_range=(-2.0, 2.5), theta2_range=(-1.0, 4.0))
+    expected = []
+    for t1, t2 in pts[:, :2]:
+        p = direct(geom, JointAngles(float(t1), float(t2)))
+        expected.append((t1, t2, p.x, p.y, p.z))
+    np.testing.assert_allclose(
+        pts, expected, rtol=0.0, atol=1e-15 * math.sqrt(geom.radius_sq)
+    )
+
+
 def test_workspace_validation():
     with pytest.raises(ValueError, match="at least 2"):
         workspace(FLAT, 1, 5)

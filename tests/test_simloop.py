@@ -370,6 +370,28 @@ def test_trace_csv_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("ts, first", [
+    (1 / 300, 300_000),  # 1 000 s, 300 000 samples in
+    (1 / 300, 9_999_980),  # the last rows a run may hold
+    (3.90625e-5, 9_999_980),
+    (1e-5, 9_999_980),
+])
+def test_a_long_trace_reads_back_despite_the_writers_rounding(tmp_path, ts, first):
+    # the writer keeps 12 digits, so far into a run its spacings differ by
+    # more than 1e-6 of a period; the reader allows for that rounding
+    t = np.arange(first, first + 20) * ts
+    z = np.zeros(20)
+    p = tmp_path / "long.csv"
+    write_trace_csv(SimTrace(t=t, r=z, e=z, u=z, u_sat=z, y=z, ts=ts,
+                             diverged=False), p)
+    back = read_trace_csv(p)
+    np.testing.assert_allclose(back.t, t, rtol=1e-11)
+    assert back.ts == pytest.approx(ts, rel=1e-4)
+    assert _trace_outcome(_reference_read_trace_csv, p) == _trace_outcome(
+        read_trace_csv, p
+    )
+
+
 def test_read_trace_csv_error_paths(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
@@ -450,7 +472,8 @@ def _reference_read_trace_csv(path):
     t, r, e, u, us, y = (np.array(col) for col in cols)
     dt = np.diff(t)
     ts = float(dt[0])
-    if ts <= 0.0 or np.any(np.abs(dt - ts) > 1e-6 * ts):
+    slack = 1e-6 * ts + 2e-11 * np.maximum(np.abs(t[1:]), abs(t[0]))
+    if ts <= 0.0 or np.any(np.abs(dt - ts) > slack):
         raise ValueError(f"{path}: t column must be uniformly increasing")
     return SimTrace(t=t, r=r, e=e, u=u, u_sat=us, y=y, ts=ts, diverged=False)
 

@@ -142,6 +142,23 @@ def test_dataset_accepts_jitter_below_a_microsecond():
     assert ds.ts == pytest.approx(0.01, abs=1e-6)
 
 
+def test_dataset_prints_a_slip_to_twelve_digits():
+    t = np.arange(12) * 10.0
+    t[5] += 2e-6
+    with pytest.raises(
+        ValueError, match=r"spacing at index 5 is 10\.000002, expected 10$"
+    ):
+        DataSet(t, np.full(12, 2e5), np.ones(12))
+
+
+def test_dataset_rejects_jitter_of_half_a_submicrosecond_period():
+    # spacings of 0.1 and 0.9 us lie within 1 us of their 0.5 us median, but
+    # the first of them would then pass for the period
+    t = np.concatenate(([0.0], np.cumsum(np.tile([1e-7, 9e-7], 6))))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        DataSet(t, np.full(13, 2e5), np.ones(13))
+
+
 def test_dataset_rejects_mismatched_and_nonfinite():
     t = np.arange(10) * 0.01
     with pytest.raises(ValueError, match="equal lengths"):
