@@ -18,14 +18,16 @@ it began with, bit for bit, repeats to the end of the run. The loop stops
 there and :func:`run` fills the rest of the trace with copies of that block:
 the trace stepping every sample gives, to the last bit.
 
-While the actuator does not clamp, that map is also linear, z <- Φ z + g
-(Åström and Wittenmark, *Computer-Controlled Systems*, ch. 2), and the loop
-linearizes itself: :func:`_loop_map` reads Φ and g off single samples the
-compiled loop steps with its limits open. After a block
-with constant inputs and no clamped command the loop hands its state over,
-and :func:`run` fills the rest in closed form with numpy products, when the
-loop is stable and the predicted commands stay inside the limits. Those
-filled samples are not bit-identical to stepped ones. Their outputs differ
+While the actuator does not clamp, a sample is an affine map of the state
+and the inputs, z <- Φ z + g + G (v - v_e) (Åström and Wittenmark,
+*Computer-Controlled Systems*, ch. 2), and the loop linearizes itself:
+:func:`_loop_map` reads Φ, g and G off single samples the compiled loop
+steps with its limits open. After a block in which every input is a step
+or a ramp past its start and no command clamped, the loop hands its state
+over, and :func:`run` fills the rest in closed form with numpy products,
+the ramp-following solution plus a decaying transient, when the loop is
+stable and the predicted commands stay inside the limits. Those filled
+samples are not bit-identical to stepped ones. Their outputs differ
 from the stepped loop's by at most 1e-12 times the larger of the reference
 and the largest stepped output, and their commands by at most 1e-11 times
 the largest stepped command (a command is a sum of state terms that can
@@ -118,6 +120,9 @@ assert _BLOCK & (_BLOCK - 1) == 0, "_BLOCK must be a power of two"
 # Blocks the closed-form tail fills per product, which bounds its scratch
 # memory to a few of these groups whatever the length of the run
 _TAIL_GROUP = 64
+
+# Rows write_trace_csv stacks per write: 3 MB of floats
+_CSV_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,7 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
         "from struct import Struct",
         f"_pack = Struct('{len(carried)}d').pack",
         f"def loop({', '.join(params)}, lim, rv, dv, uv, usv, yv, k_steady,",
-        f"         start=0, hand_over=True, z=({zero},)):",
+        f"         k_hand, start=0, z=({zero},)):",
         f"    {names} = z",
         f"    last = {snapshot}",
         f"    for k0 in range(start, len(yv), {_BLOCK}):",
@@ -311,7 +316,7 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
         "        if now == last and k0 >= k_steady:",
         "            return k + 1, False, None",
         "        last = now",
-        f"        if (hand_over and k0 >= k_steady and k + {_BLOCK} < len(yv)",
+        f"        if (k0 >= k_hand and k + {_BLOCK} < len(yv)",
         "                and uv[k0:k + 1] == usv[k0:k + 1]):",
         f"            return k + 1, False, ({names},)",
         f"    return len(yv), False, ({names},)",
@@ -336,13 +341,16 @@ def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
     A sample reads, besides the arguments and its inputs, only the carried
     state: ``x0`` .. ``x{n-1}``, the law's state and ``u_prev``. A block of
     ``_BLOCK`` samples that starts at or after ``k_steady``, where the inputs
-    turn constant, and ends with those packed to the bytes they had at its
-    start repeats to the end: the loop returns there, not diverged, before
-    the last sample. With ``hand_over`` set, a block that starts at or after
-    ``k_steady``, in which no command was clamped (``u_sat != u_cmd``, NaN
-    included), and after which a whole block remains, returns the carried
-    state: the rest of the run is the linear map :func:`run` fills in closed
-    form.
+    turn constant bit for bit, and ends with those packed to the bytes they
+    had at its start repeats to the end: the loop returns there, not
+    diverged, before the last sample. A block that starts at or after
+    ``k_hand``, where every input is a step or a ramp past its start, in
+    which no command was clamped (``u_sat != u_cmd``, NaN included), and
+    after which a whole block remains, returns the carried state: the rest
+    of the run is the affine map :func:`run` fills in closed form. A
+    ``k_hand`` of ``len(yv)`` or more turns the hand-over off. Under a ramp
+    a repeated state is not a repeated block, since the commands still read
+    the moving reference, so the stop reads ``k_steady``, never ``k_hand``.
     """
     return _compile(_loop_source(n, law, inject, loop_delay), "loop")
 
@@ -355,31 +363,37 @@ def _loop_map(
     loop_delay: bool,
     r: float,
     d: float,
+    moved: tuple[tuple[float, float], ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One sample of the loop with the limits open, under constant reference
-    ``r`` and disturbance ``d``, as the affine map (Φ, g, P, q): the carried
-    state steps as z <- Φ z + g, and the sample's output and command are
+    """One sample of the loop with the limits open, under reference ``r`` and
+    disturbance ``d``, as the affine map (Φ, g, P, q): the carried state
+    steps as z <- Φ z + g, and the sample's output and command are
     P z + q. The compiled loop of :func:`_loop_factory`, which returns the
     zero state it starts from when it steps no sample, steps one sample from
     that state with the inputs, for g and q, and one from each unit state
     with zero inputs, for the columns of Φ and P, with the limits and the
     divergence guard open, the repeated-state check and the hand-over off.
+    Each (reference, disturbance) pair of ``moved`` adds a column to Φ and
+    P, one sample from the zero state under those inputs: the loop is
+    linear in its state and inputs, so it is the response G, Q to a change
+    of the inputs in that direction, z <- Φ z + g + G Δv.
     A sample whose output is NaN, which the guard stops, gives a NaN column.
     """
     law = "pid" if isinstance(gains, PidGains) else "sf"
     loop = _loop_factory(dss.order, law, inject, loop_delay)
     args = (*_plant_coefficients(dss), *_law_gains(gains), -math.inf, math.inf,
             ts, math.inf)
-    zero = loop(*args, (), (), [], [], [], 1)[2]
+    zero = loop(*args, (), (), [], [], [], 1, 1)[2]
     m = len(zero)
 
     def sample(r: float, d: float, z: tuple[float, ...]) -> list[float]:
         u, y = [0.0], [0.0]
-        _, _, z = loop(*args, (r,), (d,), u, [0.0], y, 1, 0, False, z)
+        _, _, z = loop(*args, (r,), (d,), u, [0.0], y, 1, 1, 0, z)
         return [*z, *y, *u] if z is not None else [math.nan] * (m + 2)
 
     base = np.array(sample(r, d, zero))
-    cols = np.array([sample(0.0, 0.0, tuple(e)) for e in np.eye(m).tolist()]).T
+    cols = np.array([sample(0.0, 0.0, tuple(e)) for e in np.eye(m).tolist()]
+                    + [sample(dr, dd, zero) for dr, dd in moved]).T
     return cols[:m], base[:m], cols[m:], base[m:]
 
 
@@ -409,13 +423,65 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([row[-1] for row in rows])
 
 
-def _powers(rows: np.ndarray, step: np.ndarray, count: int):
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = a * b rounded and p + e = a * b exactly, elementwise,
+    by Dekker's split: plain float arithmetic, the same on every build."""
+    def split(v):
+        c = v * 134217729.0  # 2^27 + 1
+        top = c - (c - v)
+        return top, v - top
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _square(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi + lo)^2 for a matrix held as the unevaluated float sum hi + lo,
+    returned the same way: each product hi_ik hi_kj exact
+    (:func:`_two_product`), the sum over k compensated (Knuth's two-sum),
+    in a fixed order. Squaring in plain floats rounds each power by up to
+    the size of the terms it sums, which cancel in a lightly damped loop,
+    and the doubling compounds that into a drift of the slowest decay."""
+    p, e = _two_product(hi[:, :, None], hi[None])
+    s, err = p[:, 0], e[:, 0] + (_dot(hi, lo) + _dot(lo, hi))
+    for k in range(1, len(hi)):
+        t = s + p[:, k]
+        back = t - s
+        err = err + ((s - (t - back)) + (p[:, k] - back)) + e[:, k]
+        s = t
+    top = s + err
+    return top, err - (top - s)
+
+
+def _refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_solve`'s x with a x = b, corrected once by the solve of its
+    residual b - a x, taken exactly and rounded once (``math.fsum`` of the
+    exact products): a ramp's tail reads x through sums that cancel, where
+    the first solve's rounding would show."""
+    x = _solve(a, b)
+    p, e = _two_product(a, x)
+    if not (np.isfinite(x).all() and np.isfinite(p).all() and np.isfinite(e).all()):
+        return x
+    res = [math.fsum([v, *p_row, *e_row])
+           for v, p_row, e_row in zip(b.tolist(), (-p).tolist(), (-e).tolist())]
+    return x + _solve(a, np.array(res))
+
+
+def _powers(rows: np.ndarray, step: np.ndarray, count: int, compensated: bool):
     """(rows @ step^j for j < count, stacked on a new first axis, step^h for
-    the power of two h >= count it doubled to): one product per doubling."""
-    out, m = rows[None], len(step)
+    the power of two h >= count it doubled to): one product per doubling,
+    with the powers of ``step`` squared by :func:`_square` if
+    ``compensated``, which a ramp's tail needs (:func:`_closed_form_tail`)."""
+    out, m, lo = rows[None], len(step), np.zeros_like(step)
     while len(out) < count:
-        both = _dot(np.concatenate((out.reshape(-1, m), step)), step)
-        out, step = np.concatenate((out, both[:-m].reshape(out.shape))), both[-m:]
+        if compensated:
+            both = _dot(out.reshape(-1, m), step)
+            step, lo = _square(step, lo)
+        else:
+            both = _dot(np.concatenate((out.reshape(-1, m), step)), step)
+            both, step = both[:-m], both[-m:]
+        out = np.concatenate((out, both.reshape(out.shape)))
     return out[:count], step
 
 
@@ -424,63 +490,92 @@ def _closed_form_tail(
     dss: DiscreteStateSpace,
     limits: ActuatorLimits,
     z: tuple[float, ...],
-    r: float,
-    d: float,
+    r: np.ndarray,
+    d: np.ndarray | None,
     y_out: np.ndarray,
     u_out: np.ndarray,
 ) -> bool:
     """Fill ``y_out`` and ``u_out`` with the next outputs and commands of the
-    loop from the carried state ``z`` under constant inputs ``r`` and ``d``;
-    False, with the arrays partly filled, when the stepped loop could leave
-    the linear map on them.
+    loop from the carried state ``z`` under the reference ``r`` and the
+    disturbance ``d`` (None for none) of those samples, each a step or a
+    ramp; False, with the arrays partly filled, when the stepped loop could
+    leave the affine map on them.
 
-    With the state shifted to the equilibrium z* = (I - Φ)^-1 g of
-    :func:`_loop_map`, sample b _BLOCK + j of the tail is
-    P Φ^j Φ^(b _BLOCK) (z - z*) + P z* + q. The rows P Φ^j, j < _BLOCK, and
-    the block starts come by doubling, and the samples from (blocks × m)
-    @ (m × 2 _BLOCK) products, ``_TAIL_GROUP`` blocks at a time: the blocked
-    shape of :func:`gemservo.sysid._lsim`. Every sum is :func:`_dot`'s or
-    :func:`_solve`'s, so the filled samples do not depend on the BLAS or
-    LAPACK build; only the spectral radius is LAPACK's, and it only decides
-    whether the tail is taken.
+    With v_k the inputs, v_e their values at the first sample and s their
+    slope per sample, a sample steps the state as
+    z <- Φ z + g + G (v_k - v_e) (:func:`_loop_map`). Its particular
+    solution z*_k = a + B (v_k - v_e), with B = (I - Φ)^-1 G and
+    a = (I - Φ)^-1 (g - B s), follows the ramp, and the rest decays: sample
+    b _BLOCK + j of the tail is P Φ^j Φ^(b _BLOCK) (z - a) + P a + q
+    + (P B + Q) (v_k - v_e), the last term read off the tail's own inputs.
+    Under steps s = 0, no G is sampled, and a is the equilibrium
+    (I - Φ)^-1 g. Under a ramp the transient can be much larger than the
+    outputs the run reaches, and the ramp term cancels to the output's
+    size, so B and a come from :func:`_refined` solves and the powers of Φ
+    from :func:`_square`, whose rounding does not compound. The rows
+    P Φ^j, j < _BLOCK, and the block starts come by doubling, and the
+    samples from (blocks × m) @ (m × 2 _BLOCK) products, ``_TAIL_GROUP``
+    blocks at a time: the blocked shape of :func:`gemservo.sysid._lsim`.
+    Every sum is fixed-order float arithmetic, so the filled samples do not
+    depend on the BLAS or LAPACK build; only the spectral radius is
+    LAPACK's, and it only decides whether the tail is taken.
 
     The tail is refused when the spectral radius of Φ is 1 - 1e-12 or more,
-    when anything is not finite, when the equilibrium command or any
-    predicted command is not inside the limits by a margin, or when an
-    output reaches ``DIVERGENCE_LIMIT``. The margin is 1e-9 of the largest
-    of the finite limits, their span, and the command's terms
-    |P_u| (|z*| + |z - z*|) + |q_u|, the scale its rounding takes.
+    when anything is not finite, when the command P a + q at the first
+    sample or any predicted command is not inside the limits by a margin,
+    or when an output reaches ``DIVERGENCE_LIMIT``. The margin is 1e-9 of
+    the largest of the finite limits, their span, and the command's terms
+    |P_u| (|a| + |z - a|) + |q_u| + |P_u B + Q_u| |v_last - v_e|, the scale
+    its rounding takes.
     """
     dist = scenario.disturbance
+    # the inputs that move over the tail, each with its unit direction
+    moving = [(v, unit) for v, unit in ((r, (1.0, 0.0)), (d, (0.0, 1.0)))
+              if v is not None and v[-1] != v[0]]
     phi, g, p, q = _loop_map(
         dss, scenario.controller, scenario.ts, dist.inject if dist else None,
-        scenario.loop_delay, r, d,
+        scenario.loop_delay, r[0], d[0] if d is not None else 0.0,
+        tuple(unit for _, unit in moving),
     )
     if not all(np.isfinite(a).all() for a in (phi, g, p, q)):
         return False
+    m = len(z)
+    phi, gv, p, qv = phi[:, :m], phi[:, m:], p[:, :m], p[:, m:]
     if np.max(np.abs(np.linalg.eigvals(phi))) >= 1.0 - 1e-12:
         return False
-    m = len(z)
+    count = len(y_out)
     with np.errstate(all="ignore"):
-        z_eq = _solve(np.eye(m) - phi, g)
+        lhs = np.eye(m) - phi
+        if moving:
+            travel = np.array([v[-1] - v[0] for v, _ in moving])
+            b = np.array([_refined(lhs, col) for col in gv.T]).T
+            z_eq = _refined(lhs, g - _dot(b, travel[:, None] / (count - 1))[:, 0])
+            ramp = _dot(p, b) + qv
+        else:
+            z_eq = _solve(lhs, g)
         dz = np.array(z) - z_eq
         y_eq, u_eq = _dot(p, z_eq[:, None])[:, 0] + q
         terms = float(np.sum(np.abs(p[1]) * (np.abs(z_eq) + np.abs(dz)))) + abs(q[1])
+        if moving:
+            terms += float(np.sum(np.abs(ramp[1]) * np.abs(travel)))
         bounds = (limits.u_min, limits.u_max, limits.u_max - limits.u_min)
         margin = 1e-9 * max([abs(v) for v in bounds if math.isfinite(v)] + [terms])
         lo, hi = limits.u_min + margin, limits.u_max - margin
         if not lo < u_eq < hi:
             return False
-        rows, phi_block = _powers(p, phi, _BLOCK)
+        rows, phi_block = _powers(p, phi, _BLOCK, bool(moving))
         rows = rows.transpose(2, 1, 0).reshape(m, 2 * _BLOCK)
-        count = len(y_out)
-        starts, _ = _powers(dz, phi_block.T, -(-count // _BLOCK))
+        starts, _ = _powers(dz, phi_block.T, -(-count // _BLOCK), bool(moving))
         for k0 in range(0, count, _TAIL_GROUP * _BLOCK):
             b0, k1 = k0 // _BLOCK, min(k0 + _TAIL_GROUP * _BLOCK, count)
             yu = _dot(starts[b0:b0 + _TAIL_GROUP], rows).reshape(-1, 2, _BLOCK)
             y, u = y_out[k0:k1], u_out[k0:k1]
             y[:] = yu[:, 0].reshape(-1)[:k1 - k0] + y_eq
             u[:] = yu[:, 1].reshape(-1)[:k1 - k0] + u_eq
+            for i, (v, _) in enumerate(moving):
+                dv = v[k0:k1] - v[0]
+                y += ramp[0, i] * dv
+                u += ramp[1, i] * dv
             if not (np.all((lo < u) & (u < hi))
                     and np.all(np.abs(y) < DIVERGENCE_LIMIT)):
                 return False
@@ -489,7 +584,9 @@ def _closed_form_tail(
 
 def _steady_from(*signals: np.ndarray | None) -> int:
     """The first sample from which the signals are constant, bit for bit: a
-    step counts from its start, a ramp only from its last sample."""
+    step counts from its start, a ramp only from its last sample. The loop
+    stops on a repeated state only from here; it hands its state over once
+    every input is a step or a ramp past its start (:func:`run`)."""
     bits = [s.view(np.int64) for s in signals if s is not None]
     return int(max((np.flatnonzero(b != b[-1])[-1:] + 1).sum() for b in bits))
 
@@ -497,12 +594,14 @@ def _steady_from(*signals: np.ndarray | None) -> int:
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the scenario and return the full trace.
 
-    The compiled loop steps the run. Once the inputs are constant and a
-    block went unclamped it hands its state over, and the rest of the trace
-    is filled in closed form (:func:`_closed_form_tail`), with ``u_sat``
-    equal to ``u``; when that tail is refused, the loop resumes from the
-    state it handed over and steps to the end. When the loop stops early on
-    a repeated state, its last block repeats to the end of the trace.
+    The compiled loop steps the run. Once every input is a step or a ramp
+    past its start and a block went unclamped it hands its state over, and
+    the rest of the trace is filled in closed form
+    (:func:`_closed_form_tail`), with ``u_sat`` equal to ``u``; when that
+    tail is refused, the loop resumes from the state it handed over and
+    steps to the end. When the loop stops early on a repeated state, which
+    it checks only once the inputs are constant, its last block repeats to
+    the end of the trace.
     """
     dss = _sampled_plant(scenario.plant, scenario.ts)
     n = dss.order
@@ -533,18 +632,23 @@ def run(scenario: Scenario) -> SimTrace:
         limits.u_min, limits.u_max, ts, DIVERGENCE_LIMIT,
         memoryview(r), memoryview(d) if d is not None else None,
         memoryview(u_arr), memoryview(us_arr), memoryview(y_arr),
-        _steady_from(r, d),
+        k_steady := _steady_from(r, d),
     )
-    end, diverged, z = loop(*args)
+    # every input is a step or a ramp past its start from the latest start,
+    # read off the specs, since a sampled ramp is affine only up to
+    # rounding; and constant from k_steady, which for steps comes no later
+    k_hand = min(k_steady, max(int(np.searchsorted(t, spec.start))
+                               for spec in (scenario.reference, dist) if spec))
+    end, diverged, z = loop(*args, k_hand)
     if z is not None and end < N:
         if _closed_form_tail(
-            scenario, dss, limits, z, r[end], d[end] if d is not None else 0.0,
+            scenario, dss, limits, z, r[end:], d[end:] if d is not None else None,
             y_arr[end:], u_arr[end:],
         ):
             us_arr[end:] = u_arr[end:]
             end = N
         else:
-            end, diverged, _ = loop(*args, end, False, z)
+            end, diverged, _ = loop(*args, N, end, z)
     if end < N and not diverged:
         for arr in (u_arr, us_arr, y_arr):
             arr[end:] = np.resize(arr[end - _BLOCK:end], N - end)
@@ -594,11 +698,15 @@ def max_control(trace: SimTrace) -> float:
 
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
-    """Write the trace as a t,r,e,u,u_sat,y CSV (deterministic formatting)."""
-    rows = np.column_stack((trace.t, trace.r, trace.e, trace.u, trace.u_sat, trace.y))
+    """Write the trace as a t,r,e,u,u_sat,y CSV (deterministic formatting),
+    ``_CSV_ROWS`` rows at a time, so that no copy of the whole trace is
+    stacked."""
+    cols = (trace.t, trace.r, trace.e, trace.u, trace.u_sat, trace.y)
     with open(path, "w", newline="") as fh:  # plain text, whatever the suffix
-        np.savetxt(fh, rows, fmt="%.12g", delimiter=",",
-                   header="t,r,e,u,u_sat,y", comments="")
+        fh.write("t,r,e,u,u_sat,y\n")
+        for k in range(0, len(trace), _CSV_ROWS):
+            rows = np.column_stack([c[k:k + _CSV_ROWS] for c in cols])
+            np.savetxt(fh, rows, fmt="%.12g", delimiter=",")
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:

@@ -1179,11 +1179,16 @@ def _blocked_scenarios(draw):
 @given(scen=_blocked_scenarios())
 def test_run_matches_reference_loop_across_blocks_bit_for_bit(scen, loop_ends):
     loop_ends.clear()
-    _assert_trace_is_reference(scen)
-    last = _last_call(loop_ends)
-    if scen.reference.shape == "ramp":
-        # the reference never stops changing: the loop steps every sample
-        assert len(loop_ends) == 1 and (last.end == last.n or last.diverged)
+    trace = _assert_trace_is_reference(scen)
+    _last_call(loop_ends)
+    first = loop_ends[0]
+    if scen.reference.shape == "ramp" and scen.disturbance is None:
+        # a ramp whose first block past its start clamps no command hands
+        # the state over after that block, when a whole block remains
+        k0 = -(-int(np.searchsorted(trace.t, scen.reference.start)) // _BLOCK) * _BLOCK
+        if (len(trace) > k0 + _BLOCK and k0 + 2 * _BLOCK <= first.n
+                and np.array_equal(trace.u[k0:k0 + _BLOCK], trace.u_sat[k0:k0 + _BLOCK])):
+            assert first.handed_over and first.end == k0 + _BLOCK
 
 
 def _placed_poles(name):
@@ -1218,20 +1223,28 @@ _STABLE_LOOPS = {
 
 @st.composite
 def _tail_scenarios(draw):
-    """Steps on stable loops, of 3 to 8 loop blocks, with inputs that turn
-    constant early: runs whose rest the loop hands over to the closed form
+    """Steps and ramps on stable loops, of 3 to 8 loop blocks, with inputs
+    that start early: runs whose rest the loop hands over to the closed form
     unless the actuator clamps."""
     plant, controller = _STABLE_LOOPS[draw(st.sampled_from(sorted(_STABLE_LOOPS)))]
     ts = draw(st.sampled_from([0.01, 0.005, 0.002]))
     duration = ts * draw(st.integers(3 * _BLOCK, 8 * _BLOCK))
-    reference = SignalSpec(amplitude=draw(st.floats(-20.0, 20.0)),
-                           start=draw(st.floats(0.0, duration / 4)))
+    start = st.floats(0.0, duration / 4)
+    reference = draw(st.one_of(
+        st.builds(SignalSpec, amplitude=st.floats(-20.0, 20.0), start=start),
+        st.builds(SignalSpec, shape=st.just("ramp"), start=start,
+                  rate=st.one_of(st.floats(-5.0, -0.01), st.floats(0.01, 5.0))),
+    ))
     disturbance = draw(st.one_of(
         st.none(),
         st.builds(DisturbanceSpec, amplitude=st.floats(-5e4, 5e4),
-                  start=st.floats(0.0, duration / 4), inject=st.just("input")),
+                  start=start, inject=st.just("input")),
         st.builds(DisturbanceSpec, amplitude=st.floats(-2.0, 2.0),
-                  start=st.floats(0.0, duration / 4), inject=st.just("output")),
+                  start=start, inject=st.just("output")),
+        st.builds(DisturbanceSpec, shape=st.just("ramp"),
+                  rate=st.floats(-5e3, 5e3), start=start, inject=st.just("input")),
+        st.builds(DisturbanceSpec, shape=st.just("ramp"),
+                  rate=st.floats(-0.2, 0.2), start=start, inject=st.just("output")),
     ))
     return Scenario(
         plant=plant, controller=controller, reference=reference,
@@ -1303,13 +1316,35 @@ def _refused(scen, loop_ends):
     return trace, len(loop_ends)
 
 
-def test_a_ramp_is_never_handed_over(loop_ends):
-    plant, controller = _STABLE_LOOPS[("declination_velocity", "pid")]
+@pytest.mark.parametrize("key", sorted(_STABLE_LOOPS), ids="-".join)
+@pytest.mark.parametrize("rate", [1.0, -1.0])
+def test_a_ramp_on_a_stable_loop_hands_its_tail_over(key, rate, loop_ends):
+    # the tail follows the ramp: its particular solution moves with the
+    # reference, and only the transient around it decays
+    plant, controller = _STABLE_LOOPS[key]
     scen = Scenario(plant=plant, controller=controller,
-                    reference=SignalSpec(shape="ramp", rate=2.0),
-                    duration=30.0, limits=WIDE)
-    assert _refused(scen, loop_ends)[1] == 1
-    assert loop_ends[0].end == loop_ends[0].n
+                    reference=SignalSpec(shape="ramp", rate=rate, start=0.5),
+                    duration=10.0, ts=0.002, limits=WIDE)
+    trace = _assert_trace_is_reference(scen)
+    (call,) = loop_ends
+    assert call.handed_over and call.end <= 250 + 2 * _BLOCK
+    assert np.array_equal(trace.u, trace.u_sat)
+
+
+def test_a_repeated_state_under_a_ramp_is_not_a_repeated_block(loop_ends):
+    # a falling ramp into the one-sided actuator's floor: every command
+    # clamps to zero, so the output stays 0 and the carried state repeats
+    # from block to block, yet each command reads the moving reference. The
+    # loop steps to the end: it stops on a repeated state only once the
+    # inputs are constant, not once they are ramps past their start
+    scen = Scenario(plant=DECL_VEL,
+                    controller=PROJECT.controllers["declination_velocity_sf"],
+                    reference=SignalSpec(shape="ramp", rate=-1.0),
+                    duration=10.0, limits=DEFAULT_LIMITS)
+    trace = _assert_trace_is_reference(scen)
+    (call,) = loop_ends
+    assert call.end == call.n and not call.handed_over
+    assert np.all(trace.y == 0.0) and np.all(np.diff(trace.u) != 0.0)
 
 
 def test_a_sample_the_divergence_guard_stops_gives_a_nan_column():
