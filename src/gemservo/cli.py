@@ -604,7 +604,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--wide",
         action="store_true",
-        help="widen actuator limits to symmetric +/-350 kHz for comparison",
+        help="replace the scenario's actuator limits with symmetric +/-350 kHz "
+        "for this run, for comparison",
     )
     p.add_argument(
         "--loop-delay",

@@ -29,6 +29,11 @@ disturbance adds ``"inject": "input"|"output"``); ``loop_delay`` is
 ``true`` or ``false``, and the optional ``label`` a string (the file's stem
 by default).
 
+An object refuses a key its reader does not read, so a misspelt optional
+key is an error, not dropped for its default. A transfer function may carry
+the ``fit`` summary of an ``identify`` model file; the project's
+``reference_results`` are free-form.
+
 All loader errors name the offending file and JSON path.
 """
 
@@ -73,9 +78,23 @@ def _data_root():
     return files("gemservo") / "data"
 
 
-def _get(obj: dict, key: str, ctx: str):
+def _object(obj, ctx: str, *known: str) -> dict:
+    """``obj``, which must be an object; given the keys its reader reads,
+    ``known``, one with any other key is refused, so that a misspelt
+    optional key is an error, not dropped for its default."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
+    if known:
+        for key in obj:
+            if key not in known:
+                raise ConfigError(
+                    f"{ctx}: unknown key {key!r} (known: {', '.join(sorted(known))})"
+                )
+    return obj
+
+
+def _get(obj: dict, key: str, ctx: str):
+    _object(obj, ctx)
     if key not in obj:
         raise ConfigError(f"{ctx}: missing key {key!r}")
     return obj[key]
@@ -153,6 +172,7 @@ def _num_list(value, ctx: str) -> list[float]:
 
 
 def tf_from_json(obj, ctx: str) -> TransferFunction:
+    _object(obj, ctx, "num", "den", "fit")  # identify's model files carry a fit
     num = _num_list(_get(obj, "num", ctx), f"{ctx}.num")
     den = _num_list(_get(obj, "den", ctx), f"{ctx}.den")
     return _build(ctx, TransferFunction, tuple(num), tuple(den))
@@ -174,6 +194,7 @@ def controller_from_json(
                     "them under the scenario's 'limits' or the project's "
                     "'defaults.limits'"
                 )
+        _object(obj, ctx, "type", "kp", "ki", "kd", "n")
         return _build(
             ctx,
             PidGains,
@@ -184,6 +205,7 @@ def controller_from_json(
         )
     if kind == "sf":
         if "poles" in obj:
+            _object(obj, ctx, "type", "poles")
             if plant is None:
                 raise ConfigError(
                     f"{ctx}: pole-design controllers need a plant to resolve against"
@@ -204,6 +226,7 @@ def controller_from_json(
                     )
                 )
             return _build(ctx, place_poles, plant, want)
+        _object(obj, ctx, "type", "k1", "k2")
         return _build(
             ctx,
             StateFeedbackGains,
@@ -226,6 +249,7 @@ def controller_to_json(controller: PidGains | StateFeedbackGains) -> dict:
 
 
 def requirement_from_json(obj, ctx: str, label: str = "") -> Requirement:
+    _object(obj, ctx, "amplitude", "tss_max", "os_max", "ess_max", "units")
     return _build(
         ctx,
         Requirement,
@@ -239,6 +263,7 @@ def requirement_from_json(obj, ctx: str, label: str = "") -> Requirement:
 
 
 def limits_from_json(obj, ctx: str) -> ActuatorLimits:
+    _object(obj, ctx, "umin", "umax")
     return _build(
         ctx,
         ActuatorLimits,
@@ -248,6 +273,7 @@ def limits_from_json(obj, ctx: str) -> ActuatorLimits:
 
 
 def geometry_from_json(obj, ctx: str) -> MountGeometry:
+    _object(obj, ctx, "l1", "l2", "alpha_deg")
     return _build(
         ctx,
         MountGeometry,
@@ -257,7 +283,8 @@ def geometry_from_json(obj, ctx: str) -> MountGeometry:
     )
 
 
-def _signal_fields(obj, ctx: str) -> dict:
+def _signal_fields(obj, ctx: str, *extra: str) -> dict:
+    _object(obj, ctx, "shape", "amplitude", "rate", "start", *extra)
     return {
         "shape": _str(_get(obj, "shape", ctx), f"{ctx}.shape"),
         "amplitude": _num(obj.get("amplitude", 0.0), f"{ctx}.amplitude"),
@@ -274,7 +301,7 @@ def _disturbance_from_json(obj, ctx: str) -> DisturbanceSpec:
     return _build(
         ctx,
         DisturbanceSpec,
-        **_signal_fields(obj, ctx),
+        **_signal_fields(obj, ctx, "inject"),
         inject=_str(obj.get("inject", "input"), f"{ctx}.inject"),
     )
 
@@ -303,7 +330,10 @@ def load_project(path: str | Path | None = None) -> Project:
         name = str(path)
         raw = _read_json(path, name)
 
-    defaults = _get(raw, "defaults", name)
+    _object(raw, name, "defaults", "geometry", "plants", "requirements",
+            "controllers", "reference_results")  # the results are free-form
+    defaults = _object(_get(raw, "defaults", name), f"{name}.defaults",
+                       "ts", "band_pct", "limits")
     ts = _num(_get(defaults, "ts", f"{name}.defaults"), f"{name}.defaults.ts")
     band = _num(
         _get(defaults, "band_pct", f"{name}.defaults"), f"{name}.defaults.band_pct"
@@ -374,8 +404,11 @@ def load_scenario(
                 f"(bundled: {', '.join(bundled_scenario_names())})"
             )
         name = f"bundled:{stem}"
-    raw = _parse_json(p.read_bytes(), name)
-
+    raw = _object(
+        _parse_json(p.read_bytes(), name), name, "plant", "controller",
+        "reference", "disturbance", "requirement", "limits", "ts", "duration",
+        "label", "loop_delay",
+    )
     plant = _named_or_inline(
         _get(raw, "plant", name), project.plants, f"{name}.plant", "plant",
         tf_from_json,

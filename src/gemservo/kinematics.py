@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sysid import _write_columns
+
 __all__ = [
     "MountGeometry",
     "JointAngles",
@@ -193,10 +195,8 @@ def write_workspace_csv(points: np.ndarray, path) -> None:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 5:
         raise ValueError(f"points must be (n, 5), got {points.shape}")
-    rows = np.column_stack((np.degrees(points[:, :2]), points[:, 2:]))
-    with open(path, "w", newline="") as fh:  # plain text, whatever the suffix
-        np.savetxt(fh, rows, fmt="%.12g", delimiter=",",
-                   header="theta1_deg,theta2_deg,x,y,z", comments="")
+    _write_columns(path, ("theta1_deg", "theta2_deg", "x", "y", "z"),
+                   (*np.degrees(points[:, :2].T), *points[:, 2:].T))
 
 
 # 1 m declination shaft, 0.5 m cradle offset, 4.6 degree site latitude

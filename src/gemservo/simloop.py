@@ -82,7 +82,7 @@ from .metrics import (
     ess_bound,
     has_step,
 )
-from .sysid import _read_columns
+from .sysid import _read_columns, _write_columns
 
 __all__ = [
     "SignalSpec",
@@ -121,8 +121,8 @@ assert _BLOCK & (_BLOCK - 1) == 0, "_BLOCK must be a power of two"
 # memory to a few of these groups whatever the length of the run
 _TAIL_GROUP = 64
 
-# Rows write_trace_csv stacks per write: 3 MB of floats
-_CSV_ROWS = 65_536
+# The columns of a trace CSV, for its writer and its reader
+_TRACE_COLUMNS = ("t", "r", "e", "u", "u_sat", "y")
 
 
 @dataclass(frozen=True)
@@ -203,16 +203,13 @@ class Scenario:
                 "controller must be PidGains or StateFeedbackGains, got "
                 f"{type(self.controller).__name__}"
             )
-        if self.reference.start > self.duration:
-            raise ValueError(
-                f"reference starts at {self.reference.start}s, after the "
-                f"{self.duration}s run ends"
-            )
-        if self.disturbance is not None and self.disturbance.start > self.duration:
-            raise ValueError(
-                f"disturbance starts at {self.disturbance.start}s, after the "
-                f"{self.duration}s run ends"
-            )
+        for name in ("reference", "disturbance"):
+            spec = getattr(self, name)
+            if spec is not None and spec.start > self.duration:
+                raise ValueError(
+                    f"{name} starts at {spec.start}s, after the "
+                    f"{self.duration}s run ends"
+                )
 
 
 @dataclass(frozen=True)
@@ -305,7 +302,7 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
     lines = [
         "from struct import Struct",
         f"_pack = Struct('{len(carried)}d').pack",
-        f"def loop({', '.join(params)}, lim, rv, dv, uv, usv, yv, k_steady,",
+        f"def loop({', '.join(params)}, lim, rv, dv, uv, usv, yv, k_stop,",
         f"         k_hand, start=0, z=({zero},)):",
         f"    {names} = z",
         f"    last = {snapshot}",
@@ -313,7 +310,7 @@ def _loop_source(n: int, law: str, inject: str | None, loop_delay: bool) -> str:
         f"        for k in range(k0, min(k0 + {_BLOCK}, len(yv))):",
         *(f"            {line}" for line in sample),
         f"        now = {snapshot}",
-        "        if now == last and k0 >= k_steady:",
+        "        if now == last and k0 >= k_stop:",
         "            return k + 1, False, None",
         "        last = now",
         f"        if (k0 >= k_hand and k + {_BLOCK} < len(yv)",
@@ -340,17 +337,17 @@ def _loop_factory(n: int, law: str, inject: str | None, loop_delay: bool):
 
     A sample reads, besides the arguments and its inputs, only the carried
     state: ``x0`` .. ``x{n-1}``, the law's state and ``u_prev``. A block of
-    ``_BLOCK`` samples that starts at or after ``k_steady``, where the inputs
+    ``_BLOCK`` samples that starts at or after ``k_stop``, where the inputs
     turn constant bit for bit, and ends with those packed to the bytes they
     had at its start repeats to the end: the loop returns there, not
     diverged, before the last sample. A block that starts at or after
     ``k_hand``, where every input is a step or a ramp past its start, in
     which no command was clamped (``u_sat != u_cmd``, NaN included), and
     after which a whole block remains, returns the carried state: the rest
-    of the run is the affine map :func:`run` fills in closed form. A
-    ``k_hand`` of ``len(yv)`` or more turns the hand-over off. Under a ramp
-    a repeated state is not a repeated block, since the commands still read
-    the moving reference, so the stop reads ``k_steady``, never ``k_hand``.
+    of the run is the affine map :func:`run` fills in closed form. Either
+    index at ``len(yv)`` turns its check off; :func:`_input_marks` reads
+    both off the specs, and a running ramp turns the stop off, since its
+    commands still read the moving reference after the state repeats.
     """
     return _compile(_loop_source(n, law, inject, loop_delay), "loop")
 
@@ -379,8 +376,7 @@ def _loop_map(
     of the inputs in that direction, z <- Φ z + g + G Δv.
     A sample whose output is NaN, which the guard stops, gives a NaN column.
     """
-    law = "pid" if isinstance(gains, PidGains) else "sf"
-    loop = _loop_factory(dss.order, law, inject, loop_delay)
+    loop = _loop_factory(dss.order, _controller_kind(gains), inject, loop_delay)
     args = (*_plant_coefficients(dss), *_law_gains(gains), -math.inf, math.inf,
             ts, math.inf)
     zero = loop(*args, (), (), [], [], [], 1, 1)[2]
@@ -470,19 +466,24 @@ def _refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _powers(rows: np.ndarray, step: np.ndarray, count: int, compensated: bool):
     """(rows @ step^j for j < count, stacked on a new first axis, step^h for
-    the power of two h >= count it doubled to): one product per doubling,
-    with the powers of ``step`` squared by :func:`_square` if
+    the power of two h >= count it doubled to): per doubling, one product
+    of the rows so far and ``step`` by ``step``, whose last rows are the
+    plain square, and ``step`` squared by :func:`_square` instead if
     ``compensated``, which a ramp's tail needs (:func:`_closed_form_tail`)."""
     out, m, lo = rows[None], len(step), np.zeros_like(step)
     while len(out) < count:
-        if compensated:
-            both = _dot(out.reshape(-1, m), step)
-            step, lo = _square(step, lo)
-        else:
-            both = _dot(np.concatenate((out.reshape(-1, m), step)), step)
-            both, step = both[:-m], both[-m:]
-        out = np.concatenate((out, both.reshape(out.shape)))
+        both = _dot(np.concatenate((out.reshape(-1, m), step)), step)
+        step, lo = _square(step, lo) if compensated else (both[-m:], lo)
+        out = np.concatenate((out, both[:-m].reshape(out.shape)))
     return out[:count], step
+
+
+def _spectral_radius(phi: np.ndarray) -> float | None:
+    """The spectral radius of the loop map ``phi``, or None when it is
+    1 - 1e-9 or more, or NaN: the one stability rule, for the closed-form
+    tail and :func:`sampled_decay_rate`."""
+    rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    return rho if rho < 1.0 - 1e-9 else None
 
 
 def _closed_form_tail(
@@ -517,10 +518,9 @@ def _closed_form_tail(
     samples from (blocks × m) @ (m × 2 _BLOCK) products, ``_TAIL_GROUP``
     blocks at a time: the blocked shape of :func:`gemservo.sysid._lsim`.
     Every sum is fixed-order float arithmetic, so the filled samples do not
-    depend on the BLAS or LAPACK build; only the spectral radius is
-    LAPACK's, and it only decides whether the tail is taken.
+    depend on the BLAS or LAPACK build.
 
-    The tail is refused when the spectral radius of Φ is 1 - 1e-12 or more,
+    The tail is refused when :func:`_spectral_radius` finds Φ not stable,
     when anything is not finite, when the command P a + q at the first
     sample or any predicted command is not inside the limits by a margin,
     or when an output reaches ``DIVERGENCE_LIMIT``. The margin is 1e-9 of
@@ -541,7 +541,7 @@ def _closed_form_tail(
         return False
     m = len(z)
     phi, gv, p, qv = phi[:, :m], phi[:, m:], p[:, :m], p[:, m:]
-    if np.max(np.abs(np.linalg.eigvals(phi))) >= 1.0 - 1e-12:
+    if _spectral_radius(phi) is None:
         return False
     count = len(y_out)
     with np.errstate(all="ignore"):
@@ -582,13 +582,23 @@ def _closed_form_tail(
     return True
 
 
-def _steady_from(*signals: np.ndarray | None) -> int:
-    """The first sample from which the signals are constant, bit for bit: a
-    step counts from its start, a ramp only from its last sample. The loop
-    stops on a repeated state only from here; it hands its state over once
-    every input is a step or a ramp past its start (:func:`run`)."""
-    bits = [s.view(np.int64) for s in signals if s is not None]
-    return int(max((np.flatnonzero(b != b[-1])[-1:] + 1).sum() for b in bits))
+def _input_marks(specs, t: np.ndarray) -> tuple[int, int]:
+    """(k_stop, k_hand) of :func:`_loop_factory` for a run sampled at ``t``
+    under the input ``specs``, read off the specs, since a sampled ramp is
+    affine only up to rounding. ``k_stop`` is the latest start of a step
+    whose sampled value moves (any amplitude but +0.0), or ``len(t)``, no
+    stop, while a ramp of nonzero rate runs; ``k_hand`` the latest start,
+    or ``k_stop`` if that comes first, before the last sample."""
+    k_stop = k_last = 0
+    for spec in specs:
+        k = int(np.searchsorted(t, spec.start))
+        k_last = max(k_last, k)
+        if spec.shape == "ramp":
+            if spec.rate != 0.0 and t[-1] > spec.start:
+                k_stop = len(t)
+        elif k < len(t) and (spec.amplitude or math.copysign(1.0, spec.amplitude) < 0):
+            k_stop = max(k_stop, k)
+    return k_stop, min(k_stop, k_last, len(t) - 1)
 
 
 def run(scenario: Scenario) -> SimTrace:
@@ -601,45 +611,33 @@ def run(scenario: Scenario) -> SimTrace:
     tail is refused, the loop resumes from the state it handed over and
     steps to the end. When the loop stops early on a repeated state, which
     it checks only once the inputs are constant, its last block repeats to
-    the end of the trace.
+    the end of the trace. Both indices come from one reading of the specs
+    (:func:`_input_marks`).
     """
     dss = _sampled_plant(scenario.plant, scenario.ts)
-    n = dss.order
-    gains = scenario.controller
-    is_pid = isinstance(gains, PidGains)
-    if not is_pid:
-        _check_k1(gains, n)
-
-    N = int(round(scenario.duration / scenario.ts)) + 1
-    t = np.arange(N) * scenario.ts
-    r = scenario.reference.values(t)
-    dist = scenario.disturbance
-    d = dist.values(t) if dist is not None else None
+    gains, dist, ts = scenario.controller, scenario.disturbance, scenario.ts
+    law = _controller_kind(gains)
+    if law == "sf":
+        _check_k1(gains, dss.order)
     limits = scenario.limits
     if limits is None:
-        limits = gains.limits if is_pid else DEFAULT_LIMITS
-    ts = scenario.ts
+        limits = gains.limits if law == "pid" else DEFAULT_LIMITS
 
-    loop = _loop_factory(
-        n, "pid" if is_pid else "sf", dist.inject if dist is not None else None,
-        scenario.loop_delay,
-    )
-    u_arr = np.empty(N)
-    us_arr = np.empty(N)
-    y_arr = np.empty(N)
+    N = int(round(scenario.duration / ts)) + 1
+    t = np.arange(N) * ts
+    r = scenario.reference.values(t)
+    d = dist.values(t) if dist is not None else None
+    loop = _loop_factory(dss.order, law, dist.inject if dist else None,
+                         scenario.loop_delay)
+    u_arr, us_arr, y_arr = np.empty((3, N))
     args = (
         *_plant_coefficients(dss), *_law_gains(gains),
         limits.u_min, limits.u_max, ts, DIVERGENCE_LIMIT,
         memoryview(r), memoryview(d) if d is not None else None,
         memoryview(u_arr), memoryview(us_arr), memoryview(y_arr),
-        k_steady := _steady_from(r, d),
     )
-    # every input is a step or a ramp past its start from the latest start,
-    # read off the specs, since a sampled ramp is affine only up to
-    # rounding; and constant from k_steady, which for steps comes no later
-    k_hand = min(k_steady, max(int(np.searchsorted(t, spec.start))
-                               for spec in (scenario.reference, dist) if spec))
-    end, diverged, z = loop(*args, k_hand)
+    k_stop, k_hand = _input_marks([s for s in (scenario.reference, dist) if s], t)
+    end, diverged, z = loop(*args, k_stop, k_hand)
     if z is not None and end < N:
         if _closed_form_tail(
             scenario, dss, limits, z, r[end:], d[end:] if d is not None else None,
@@ -648,30 +646,18 @@ def run(scenario: Scenario) -> SimTrace:
             us_arr[end:] = u_arr[end:]
             end = N
         else:
-            end, diverged, _ = loop(*args, N, end, z)
+            end, diverged, _ = loop(*args, k_stop, N, end, z)
     if end < N and not diverged:
         for arr in (u_arr, us_arr, y_arr):
             arr[end:] = np.resize(arr[end - _BLOCK:end], N - end)
         end = N
 
-    t = t[:end]
-    r = r[:end]
-    u_arr = u_arr[:end]
-    us_arr = us_arr[:end]
-    y_arr = y_arr[:end]
-    e_arr = r - y_arr
-    for arr in (t, r, e_arr, u_arr, us_arr, y_arr):
+    r, y_arr = r[:end], y_arr[:end]
+    cols = {"t": t[:end], "r": r, "e": r - y_arr, "u": u_arr[:end],
+            "u_sat": us_arr[:end], "y": y_arr}
+    for arr in cols.values():
         arr.setflags(write=False)
-    return SimTrace(
-        t=t,
-        r=r,
-        e=e_arr,
-        u=u_arr,
-        u_sat=us_arr,
-        y=y_arr,
-        ts=ts,
-        diverged=diverged,
-    )
+    return SimTrace(**cols, ts=ts, diverged=diverged)
 
 
 def run_and_judge(
@@ -698,22 +684,16 @@ def max_control(trace: SimTrace) -> float:
 
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
-    """Write the trace as a t,r,e,u,u_sat,y CSV (deterministic formatting),
-    ``_CSV_ROWS`` rows at a time, so that no copy of the whole trace is
-    stacked."""
-    cols = (trace.t, trace.r, trace.e, trace.u, trace.u_sat, trace.y)
-    with open(path, "w", newline="") as fh:  # plain text, whatever the suffix
-        fh.write("t,r,e,u,u_sat,y\n")
-        for k in range(0, len(trace), _CSV_ROWS):
-            rows = np.column_stack([c[k:k + _CSV_ROWS] for c in cols])
-            np.savetxt(fh, rows, fmt="%.12g", delimiter=",")
+    """Write the trace as a t,r,e,u,u_sat,y CSV (deterministic formatting,
+    :func:`gemservo.sysid._write_columns`)."""
+    _write_columns(path, _TRACE_COLUMNS, [getattr(trace, c) for c in _TRACE_COLUMNS])
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
     """Read a trace CSV produced by :func:`write_trace_csv`. Errors name the
     file and the line; a cell that is not a finite number is refused."""
     path = Path(path)
-    cols = _read_columns(path, ("t", "r", "e", "u", "u_sat", "y"))
+    cols = _read_columns(path, _TRACE_COLUMNS)
     if len(cols) < 2:
         raise ValueError(f"{path}: trace needs at least 2 samples")
     t, r, e, u, us, y = np.ascontiguousarray(cols.T)
@@ -818,12 +798,10 @@ def sampled_decay_rate(
     ts: float = CONSTANTS.default_ts,
 ) -> float | None:
     """Decay rate -ln(rho)/ts of the sampled loop, where rho is the spectral
-    radius of :func:`discrete_loop_matrix`; None when rho >= 1 - 1e-9."""
-    phi = discrete_loop_matrix(plant, controller, ts)
-    rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
-    if rho >= 1.0 - 1e-9:
-        return None
-    return -math.log(rho) / ts
+    radius of :func:`discrete_loop_matrix`; None when
+    :func:`_spectral_radius` finds the loop not stable."""
+    rho = _spectral_radius(discrete_loop_matrix(plant, controller, ts))
+    return None if rho is None else -math.log(rho) / ts
 
 
 def _case_duration(case: TrackingCase) -> tuple[bool, float]:

@@ -10,6 +10,7 @@ from importlib.resources import files
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gemservo.cli import main
 from gemservo.config import (
     ConfigError,
     _read_json,
@@ -365,6 +366,112 @@ def test_scenario_label_must_be_a_json_string(tmp_path, value):
     assert load_scenario(p).scenario.label == ""
     p.write_text(json.dumps(_SCENARIO))
     assert load_scenario(p).scenario.label == "x"
+
+
+# a scenario with every object inline, and a small project
+_INLINE = {
+    "plant": {"num": [0.09809], "den": [1.0, 52.0, 1566.5]},
+    "controller": {"type": "pid", "kp": 1.0, "ki": 0.0, "kd": 0.0, "n": 100.0},
+    "reference": {"shape": "step", "amplitude": 1.0, "rate": 0.0, "start": 0.0},
+    "disturbance": {"shape": "step", "amplitude": 1.0, "start": 0.5,
+                    "inject": "input"},
+    "requirement": {"amplitude": 1.0, "tss_max": 1.0, "os_max": 5.0,
+                    "ess_max": 0.0, "units": "deg/s"},
+    "limits": {"umin": -1.0, "umax": 1.0},
+    "ts": 0.01,
+    "duration": 1.0,
+    "label": "inline",
+    "loop_delay": False,
+}
+_POLES = {**_INLINE, "controller": {"type": "sf", "poles": [[-5.0, 1.0], [-5.0, -1.0],
+                                                           [-20.0, 0.0]]}}
+_GAINS = {**_INLINE, "controller": {"type": "sf", "k1": [1.0, 2.0], "k2": 3.0}}
+_SMALL = {
+    "defaults": {"ts": 0.02, "band_pct": 5.0, "limits": {"umin": -1.0, "umax": 1.0}},
+    "geometry": {"l1": 2.0, "l2": 1.0, "alpha_deg": 0.0},
+    "plants": {"p": {"num": [1.0], "den": [1.0, 1.0]}},
+    "requirements": {"p": {"amplitude": 1.0, "tss_max": 1.0, "os_max": 5.0}},
+    "controllers": {"c": {"type": "pid", "kp": 1.0, "ki": 0.0}},
+    "reference_results": {},
+}
+
+
+def _load_any(doc, path):
+    if "defaults" in doc:
+        return load_project(path)
+    return load_scenario(path, project=load_project())
+
+
+_UNKNOWN_KEYS = {
+    "project": (_SMALL, (), "controllers, defaults, geometry, plants, "
+                            "reference_results, requirements"),
+    "defaults": (_SMALL, ("defaults",), "band_pct, limits, ts"),
+    "defaults.limits": (_SMALL, ("defaults", "limits"), "umax, umin"),
+    "geometry": (_SMALL, ("geometry",), "alpha_deg, l1, l2"),
+    "project.plant": (_SMALL, ("plants", "p"), "den, fit, num"),
+    "project.requirement": (_SMALL, ("requirements", "p"),
+                            "amplitude, ess_max, os_max, tss_max, units"),
+    "project.pid": (_SMALL, ("controllers", "c"), "kd, ki, kp, n, type"),
+    "scenario": (_INLINE, (), "controller, disturbance, duration, label, limits, "
+                              "loop_delay, plant, reference, requirement, ts"),
+    "plant": (_INLINE, ("plant",), "den, fit, num"),
+    "pid": (_INLINE, ("controller",), "kd, ki, kp, n, type"),
+    "sf": (_GAINS, ("controller",), "k1, k2, type"),
+    "sf.poles": (_POLES, ("controller",), "poles, type"),
+    "reference": (_INLINE, ("reference",), "amplitude, rate, shape, start"),
+    "disturbance": (_INLINE, ("disturbance",), "amplitude, inject, rate, shape, start"),
+    "requirement": (_INLINE, ("requirement",),
+                    "amplitude, ess_max, os_max, tss_max, units"),
+    "limits": (_INLINE, ("limits",), "umax, umin"),
+}
+
+
+@pytest.mark.parametrize("doc, where, known", list(_UNKNOWN_KEYS.values()),
+                         ids=list(_UNKNOWN_KEYS))
+def test_every_object_refuses_a_key_it_does_not_read(tmp_path, doc, where, known):
+    # a misspelt optional key used to be dropped for its default
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    _load_any(doc, path)  # loads as written
+    bad = copy.deepcopy(doc)
+    obj = functools.reduce(lambda o, key: o[key], where, bad)
+    obj["typo"] = 1.0
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError) as info:
+        _load_any(bad, path)
+    ctx = ".".join((str(path), *where))
+    assert str(info.value) == f"{ctx}: unknown key 'typo' (known: {known})"
+
+
+def test_a_geometry_file_refuses_a_key_it_does_not_read():
+    with pytest.raises(ConfigError) as info:
+        geometry_from_json({"l1": 1.0, "l2": 0.5, "alpha": 4.6}, "g")
+    assert str(info.value) == "g: unknown key 'alpha' (known: alpha_deg, l1, l2)"
+
+
+def test_a_model_file_loads_as_a_plant_and_the_results_stay_free_form(tmp_path):
+    # identify writes a model as num, den and its fit summary
+    report = FitReport(
+        model=TransferFunction((0.1,), (1.0, 2.0, 3.0)), fit_pct=97.5, mse=0.01,
+        fpe=0.011, converged=True, iterations=12, stable=True, label="run1",
+    )
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**_INLINE, "plant": model_report_to_json(report)}))
+    assert load_scenario(path).scenario.plant == report.model
+    path.write_text(json.dumps({**_SMALL, "reference_results": {"any": {"key": 1}}}))
+    assert load_project(path).reference_results == {"any": {"key": 1}}
+
+
+def test_a_misspelt_scenario_exits_two_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        **_SCENARIO, "loop_dealy": True, "limts": {"umin": -1.0, "umax": 1.0},
+        "reference": {"shape": "step", "amplitude": 1.0, "strat": 1.0},
+    }))
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: unknown key 'loop_dealy' (known: controller, " in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------

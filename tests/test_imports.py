@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, no
 module imports scipy at all, each kind of input file has one reader, each
 control law and each judging rule is spelled once, the closed loop's sample
-is assembled once, only ``SimTrace`` reads the clamp off a trace, every
+is assembled once, CSV files have one writer and the loop one reading of
+its eigenvalues, only ``SimTrace`` reads the clamp off a trace, every
 function the benchmark traces still exists, only ``cli.main`` writes
 stdout, only ``simloop.run_and_judge`` runs a loop and judges it, and no
 package module runs a second simulator of a model through ``simulate``.
@@ -75,19 +76,34 @@ def _scipy_imports(path: Path, in_functions: bool = False) -> list[str]:
     return [hit for _, hit in sorted(hits)]
 
 
+def _calls(path: Path, wanted: set[str], outside: str | None = None) -> list[str]:
+    """Calls of the dotted names ``wanted`` in a module, outside its
+    top-level function ``outside``, as ``file:line: call``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tops = [node for node in tree.body
+            if not (isinstance(node, ast.FunctionDef) and node.name == outside)]
+    hits = []
+    for node in (n for top in tops for n in ast.walk(top)):
+        if isinstance(node, ast.Call) and (call := ast.unparse(node.func)) in wanted:
+            hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
+    return [hit for _, hit in sorted(hits)]
+
+
 def _reader_calls(path: Path) -> list[str]:
     """Calls of ``np.loadtxt``, ``csv.reader`` and ``json.loads`` in a module,
     as ``file:line: call``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    wanted = {"np.loadtxt", "numpy.loadtxt", "csv.reader", "json.loads"}
-    hits = []
-    for node in ast.walk(tree):
-        func = node.func if isinstance(node, ast.Call) else None
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            call = f"{func.value.id}.{func.attr}"
-            if call in wanted:
-                hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
-    return [hit for _, hit in sorted(hits)]
+    return _calls(path, {"np.loadtxt", "numpy.loadtxt", "csv.reader", "json.loads"})
+
+
+def _writer_calls(path: Path) -> list[str]:
+    """Calls of ``np.savetxt`` and ``csv.writer`` in a module."""
+    return _calls(path, {"np.savetxt", "numpy.savetxt", "csv.writer"})
+
+
+def _eigvals_calls(path: Path, outside: str | None = "_spectral_radius") -> list[str]:
+    """Calls of ``np.linalg.eigvals`` in a module outside its top-level
+    function ``outside``."""
+    return _calls(path, {"np.linalg.eigvals", "numpy.linalg.eigvals"}, outside)
 
 
 # The anti-windup test of a control law, in any spelling of its names:
@@ -223,6 +239,64 @@ def test_reader_call_detector_flags_and_exempts(tmp_path):
         "mod.py:5: np.loadtxt",
         "mod.py:6: json.loads",
     ]
+
+
+def test_each_output_kind_has_one_writer():
+    # traces and workspace grids share sysid._write_columns, beside the
+    # reader of its layout, so the CSV format is spelled once
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    hits = [hit for path in modules for hit in _writer_calls(path)]
+    assert [hit.split(":")[0] for hit in hits] == ["sysid.py"]
+
+
+def test_writer_call_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import csv\n"
+        "import numpy\n"
+        "import numpy as np\n"
+        "def f(fh, rows):\n"
+        "    csv.writer(fh).writerows(rows)\n"
+        "    np.savetxt(fh, rows, fmt='%.12g')\n"
+        "    numpy.savetxt(fh, rows)\n"
+        "    text = 'np.savetxt(fh, rows)'\n"
+        "    return np.loadtxt(fh), csv.reader(fh), np.savetxt, fh.write(text)\n"
+    )
+    assert _writer_calls(src) == [
+        "mod.py:5: csv.writer",
+        "mod.py:6: np.savetxt",
+        "mod.py:7: numpy.savetxt",
+    ]
+
+
+def test_the_loop_has_one_stability_rule():
+    # the closed-form tail and sampled_decay_rate, which the tuner and the
+    # study suites screen with, read the loop map's eigenvalues through
+    # simloop._spectral_radius alone, so they share one threshold
+    simloop = PACKAGE / "simloop.py"
+    assert _eigvals_calls(simloop) == []
+    assert len(_eigvals_calls(simloop, outside=None)) == 1
+
+
+def test_eigvals_call_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\n"
+        "def _spectral_radius(phi):\n"
+        "    return max(abs(np.linalg.eigvals(phi)))\n"
+        "def tail(phi):\n"
+        "    rho = np.max(np.abs(np.linalg.eigvals(phi)))\n"
+        "    return rho, np.linalg.eig(phi), 'np.linalg.eigvals(phi)'\n"
+        "class K:\n"
+        "    def _spectral_radius(self, phi):\n"
+        "        return numpy.linalg.eigvals(phi)\n"
+    )
+    assert _eigvals_calls(src) == [
+        "mod.py:5: np.linalg.eigvals",
+        "mod.py:9: numpy.linalg.eigvals",
+    ]
+    assert len(_eigvals_calls(src, outside=None)) == 3
 
 
 def test_each_control_law_is_spelled_once():
