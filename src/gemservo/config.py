@@ -29,10 +29,11 @@ disturbance adds ``"inject": "input"|"output"``); ``loop_delay`` is
 ``true`` or ``false``, and the optional ``label`` a string (the file's stem
 by default).
 
-An object refuses a key its reader does not read, so a misspelt optional
-key is an error, not dropped for its default. A transfer function may carry
-the ``fit`` summary of an ``identify`` model file; the project's
-``reference_results`` are free-form.
+Each object's keys are declared once, in its reader's spec (``_fields``):
+the key, its parser and, for an optional key, its default. A key the spec
+does not name is refused, so a misspelt optional key is an error, not dropped
+for its default. A transfer function may carry the ``fit`` summary of an
+``identify`` model file; the project's ``reference_results`` are free-form.
 
 All loader errors name the offending file and JSON path.
 """
@@ -94,20 +95,46 @@ def _object(obj, ctx: str, *known: str) -> dict:
 
 
 def _get(obj: dict, key: str, ctx: str):
-    _object(obj, ctx)
-    if key not in obj:
-        raise ConfigError(f"{ctx}: missing key {key!r}")
-    return obj[key]
+    try:
+        return obj[key]
+    except KeyError:
+        raise ConfigError(f"{ctx}: missing key {key!r}") from None
 
 
-def _table(obj: dict, key: str, ctx: str) -> dict:
-    """The object under ``key``: a table of named entries."""
-    value = _get(obj, key, ctx)
-    if not isinstance(value, dict):
-        raise ConfigError(
-            f"{ctx}.{key}: expected an object, got {type(value).__name__}"
-        )
+def _fields(obj, ctx: str, into: dict | None = None, /, **spec) -> dict:
+    """The keys of the object ``obj``, each declared once in ``spec``:
+    ``key=parse`` for a required key, ``key=(parse, default)`` for an optional
+    one. A key the spec does not name is refused; then, in spec order, a
+    required key that is missing is reported and each key present is read by
+    ``parse(value, f"{ctx}.{key}")``. The values land in ``into`` (a new dict
+    by default) as they are read, so a parser can use the keys before it."""
+    _object(obj, ctx, *spec)
+    fields = {} if into is None else into
+    for key, parse in spec.items():
+        if type(parse) is tuple:
+            if key not in obj:
+                fields[key] = parse[1]
+                continue
+            parse = parse[0]
+        fields[key] = parse(_get(obj, key, ctx), f"{ctx}.{key}")
+    return fields
+
+
+def _as_is(value, ctx: str):
     return value
+
+
+def _or_null(parse, default):
+    """An optional key's spec entry that reads an explicit ``null`` as absent."""
+    return (lambda value, ctx: default if value is None else parse(value, ctx)), default
+
+
+def _named(parse):
+    """A parser of a table of named entries; ``parse(entry, ctx, name)``
+    reads each."""
+    return lambda obj, ctx: {
+        key: parse(val, f"{ctx}.{key}", key) for key, val in _object(obj, ctx).items()
+    }
 
 
 def _num(value, ctx: str) -> float:
@@ -122,6 +149,12 @@ def _num(value, ctx: str) -> float:
 def _str(value, ctx: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{ctx}: expected a string")
+    return value
+
+
+def _bool(value, ctx: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{ctx}: expected true or false")
     return value
 
 
@@ -144,15 +177,20 @@ def _read_json(path: str | Path, name: str):
     return _parse_json(p.read_bytes(), name)
 
 
-def _named_or_inline(spec, table: dict, ctx: str, kind: str, parse):
-    """``table[spec]`` when ``spec`` is a name, else ``parse(spec, ctx)``."""
-    if not isinstance(spec, str):
-        return parse(spec, ctx)
-    if spec not in table:
-        raise ConfigError(
-            f"{ctx}: unknown {kind} {spec!r} (known: {', '.join(sorted(table))})"
-        )
-    return table[spec]
+def _named_or_inline(table: dict, kind: str, parse):
+    """A parser of a ``kind`` given by name, looked up in ``table``, or inline,
+    read by ``parse``."""
+
+    def named_or_inline(spec, ctx: str):
+        if not isinstance(spec, str):
+            return parse(spec, ctx)
+        if spec not in table:
+            raise ConfigError(
+                f"{ctx}: unknown {kind} {spec!r} (known: {', '.join(sorted(table))})"
+            )
+        return table[spec]
+
+    return named_or_inline
 
 
 def _build(ctx: str, factory, *args, **kwargs):
@@ -172,20 +210,43 @@ def _num_list(value, ctx: str) -> list[float]:
 
 
 def tf_from_json(obj, ctx: str) -> TransferFunction:
-    _object(obj, ctx, "num", "den", "fit")  # identify's model files carry a fit
-    num = _num_list(_get(obj, "num", ctx), f"{ctx}.num")
-    den = _num_list(_get(obj, "den", ctx), f"{ctx}.den")
-    return _build(ctx, TransferFunction, tuple(num), tuple(den))
+    f = _fields(obj, ctx, num=_num_list, den=_num_list,
+                fit=(_as_is, None))  # identify's model files carry a fit
+    return _build(ctx, TransferFunction, tuple(f["num"]), tuple(f["den"]))
 
 
 def tf_to_json(tf: TransferFunction) -> dict:
     return {"num": list(tf.num), "den": list(tf.den)}
 
 
+def _poles(plant: TransferFunction | None, ctx: str):
+    """The parser of a pole-design controller's ``poles``, resolved against
+    ``plant``; the controller's own path is ``ctx``."""
+
+    def parse(raw, key_ctx: str) -> list[complex]:
+        if plant is None:
+            raise ConfigError(
+                f"{ctx}: pole-design controllers need a plant to resolve against"
+            )
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{key_ctx}: expected a non-empty array")
+        want = []
+        for i, pair in enumerate(raw):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"{key_ctx}[{i}]: expected [real, imag] pair")
+            want.append(
+                complex(_num(pair[0], f"{key_ctx}[{i}][0]"),
+                        _num(pair[1], f"{key_ctx}[{i}][1]"))
+            )
+        return want
+
+    return parse
+
+
 def controller_from_json(
     obj, ctx: str, plant: TransferFunction | None = None
 ) -> PidGains | StateFeedbackGains:
-    kind = _get(obj, "type", ctx)
+    kind = _get(_object(obj, ctx), "type", ctx)
     if kind == "pid":
         for key in ("umin", "umax"):
             if key in obj:
@@ -194,45 +255,16 @@ def controller_from_json(
                     "them under the scenario's 'limits' or the project's "
                     "'defaults.limits'"
                 )
-        _object(obj, ctx, "type", "kp", "ki", "kd", "n")
-        return _build(
-            ctx,
-            PidGains,
-            kp=_num(_get(obj, "kp", ctx), f"{ctx}.kp"),
-            ki=_num(_get(obj, "ki", ctx), f"{ctx}.ki"),
-            kd=_num(obj.get("kd", 0.0), f"{ctx}.kd"),
-            deriv_filter_n=_num(obj.get("n", 100.0), f"{ctx}.n"),
-        )
+        f = _fields(obj, ctx, type=_as_is, kp=_num, ki=_num, kd=(_num, 0.0),
+                    n=(_num, 100.0))
+        return _build(ctx, PidGains, kp=f["kp"], ki=f["ki"], kd=f["kd"],
+                      deriv_filter_n=f["n"])
     if kind == "sf":
         if "poles" in obj:
-            _object(obj, ctx, "type", "poles")
-            if plant is None:
-                raise ConfigError(
-                    f"{ctx}: pole-design controllers need a plant to resolve against"
-                )
-            raw = obj["poles"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"{ctx}.poles: expected a non-empty array")
-            want = []
-            for i, pair in enumerate(raw):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ConfigError(
-                        f"{ctx}.poles[{i}]: expected [real, imag] pair"
-                    )
-                want.append(
-                    complex(
-                        _num(pair[0], f"{ctx}.poles[{i}][0]"),
-                        _num(pair[1], f"{ctx}.poles[{i}][1]"),
-                    )
-                )
-            return _build(ctx, place_poles, plant, want)
-        _object(obj, ctx, "type", "k1", "k2")
-        return _build(
-            ctx,
-            StateFeedbackGains,
-            k1=tuple(_num_list(_get(obj, "k1", ctx), f"{ctx}.k1")),
-            k2=_num(_get(obj, "k2", ctx), f"{ctx}.k2"),
-        )
+            f = _fields(obj, ctx, type=_as_is, poles=_poles(plant, ctx))
+            return _build(ctx, place_poles, plant, f["poles"])
+        f = _fields(obj, ctx, type=_as_is, k1=_num_list, k2=_num)
+        return _build(ctx, StateFeedbackGains, k1=tuple(f["k1"]), k2=f["k2"])
     raise ConfigError(f"{ctx}.type: expected 'pid' or 'sf', got {kind!r}")
 
 
@@ -249,60 +281,33 @@ def controller_to_json(controller: PidGains | StateFeedbackGains) -> dict:
 
 
 def requirement_from_json(obj, ctx: str, label: str = "") -> Requirement:
-    _object(obj, ctx, "amplitude", "tss_max", "os_max", "ess_max", "units")
-    return _build(
-        ctx,
-        Requirement,
-        amplitude=_num(_get(obj, "amplitude", ctx), f"{ctx}.amplitude"),
-        tss_max=_num(_get(obj, "tss_max", ctx), f"{ctx}.tss_max"),
-        os_max=_num(_get(obj, "os_max", ctx), f"{ctx}.os_max"),
-        ess_max=_num(obj.get("ess_max", 0.0), f"{ctx}.ess_max"),
-        units=_str(obj.get("units", ""), f"{ctx}.units"),
-        label=label,
-    )
+    f = _fields(obj, ctx, amplitude=_num, tss_max=_num, os_max=_num,
+                ess_max=(_num, 0.0), units=(_str, ""))
+    return _build(ctx, Requirement, **f, label=label)
 
 
 def limits_from_json(obj, ctx: str) -> ActuatorLimits:
-    _object(obj, ctx, "umin", "umax")
-    return _build(
-        ctx,
-        ActuatorLimits,
-        u_min=_num(_get(obj, "umin", ctx), f"{ctx}.umin"),
-        u_max=_num(_get(obj, "umax", ctx), f"{ctx}.umax"),
-    )
+    f = _fields(obj, ctx, umin=_num, umax=_num)
+    return _build(ctx, ActuatorLimits, u_min=f["umin"], u_max=f["umax"])
 
 
 def geometry_from_json(obj, ctx: str) -> MountGeometry:
-    _object(obj, ctx, "l1", "l2", "alpha_deg")
-    return _build(
-        ctx,
-        MountGeometry,
-        l1=_num(_get(obj, "l1", ctx), f"{ctx}.l1"),
-        l2=_num(_get(obj, "l2", ctx), f"{ctx}.l2"),
-        alpha=math.radians(_num(_get(obj, "alpha_deg", ctx), f"{ctx}.alpha_deg")),
-    )
+    f = _fields(obj, ctx, l1=_num, l2=_num, alpha_deg=_num)
+    return _build(ctx, MountGeometry, l1=f["l1"], l2=f["l2"],
+                  alpha=math.radians(f["alpha_deg"]))
 
 
-def _signal_fields(obj, ctx: str, *extra: str) -> dict:
-    _object(obj, ctx, "shape", "amplitude", "rate", "start", *extra)
-    return {
-        "shape": _str(_get(obj, "shape", ctx), f"{ctx}.shape"),
-        "amplitude": _num(obj.get("amplitude", 0.0), f"{ctx}.amplitude"),
-        "rate": _num(obj.get("rate", 0.0), f"{ctx}.rate"),
-        "start": _num(obj.get("start", 0.0), f"{ctx}.start"),
-    }
+# the keys of a signal spec; a disturbance adds ``inject``
+_SIGNAL = dict(shape=_str, amplitude=(_num, 0.0), rate=(_num, 0.0), start=(_num, 0.0))
 
 
 def _signal_from_json(obj, ctx: str) -> SignalSpec:
-    return _build(ctx, SignalSpec, **_signal_fields(obj, ctx))
+    return _build(ctx, SignalSpec, **_fields(obj, ctx, **_SIGNAL))
 
 
 def _disturbance_from_json(obj, ctx: str) -> DisturbanceSpec:
     return _build(
-        ctx,
-        DisturbanceSpec,
-        **_signal_fields(obj, ctx, "inject"),
-        inject=_str(obj.get("inject", "input"), f"{ctx}.inject"),
+        ctx, DisturbanceSpec, **_fields(obj, ctx, **_SIGNAL, inject=(_str, "input"))
     )
 
 
@@ -321,6 +326,22 @@ class Project:
     limits: ActuatorLimits
 
 
+def _defaults(obj, ctx: str) -> tuple[float, float, ActuatorLimits]:
+    """The project's ``(ts, band_pct, limits)``; both numbers are checked for
+    their type before either for its sign."""
+
+    def band_pct(value, key_ctx: str) -> float:
+        band = _num(value, key_ctx)
+        for key, v in (("ts", f["ts"]), ("band_pct", band)):
+            if v <= 0.0:
+                raise ConfigError(f"{ctx}.{key}: must be positive, got {v}")
+        return band
+
+    f = {}
+    _fields(obj, ctx, f, ts=_num, band_pct=band_pct, limits=limits_from_json)
+    return f["ts"], f["band_pct"], f["limits"]
+
+
 def load_project(path: str | Path | None = None) -> Project:
     """Load a project JSON; ``None`` loads the bundled one."""
     if path is None:
@@ -330,39 +351,24 @@ def load_project(path: str | Path | None = None) -> Project:
         name = str(path)
         raw = _read_json(path, name)
 
-    _object(raw, name, "defaults", "geometry", "plants", "requirements",
-            "controllers", "reference_results")  # the results are free-form
-    defaults = _object(_get(raw, "defaults", name), f"{name}.defaults",
-                       "ts", "band_pct", "limits")
-    ts = _num(_get(defaults, "ts", f"{name}.defaults"), f"{name}.defaults.ts")
-    band = _num(
-        _get(defaults, "band_pct", f"{name}.defaults"), f"{name}.defaults.band_pct"
+    f = _fields(
+        raw, name,
+        defaults=_defaults,
+        plants=_named(lambda obj, ctx, key: tf_from_json(obj, ctx)),
+        requirements=_named(
+            lambda obj, ctx, key: requirement_from_json(obj, ctx, label=key)
+        ),
+        controllers=_named(lambda obj, ctx, key: controller_from_json(obj, ctx)),
+        geometry=geometry_from_json,
+        reference_results=(_as_is, {}),  # free-form
     )
-    for key, value in (("ts", ts), ("band_pct", band)):
-        if value <= 0.0:
-            raise ConfigError(f"{name}.defaults.{key}: must be positive, got {value}")
-    limits = limits_from_json(
-        _get(defaults, "limits", f"{name}.defaults"), f"{name}.defaults.limits"
-    )
-    plants = {
-        key: tf_from_json(val, f"{name}.plants.{key}")
-        for key, val in _table(raw, "plants", name).items()
-    }
-    requirements = {
-        key: requirement_from_json(val, f"{name}.requirements.{key}", label=key)
-        for key, val in _table(raw, "requirements", name).items()
-    }
-    controllers = {
-        key: controller_from_json(val, f"{name}.controllers.{key}")
-        for key, val in _table(raw, "controllers", name).items()
-    }
-    geometry = geometry_from_json(_get(raw, "geometry", name), f"{name}.geometry")
+    ts, band, limits = f["defaults"]
     return Project(
-        plants=plants,
-        requirements=requirements,
-        controllers=controllers,
-        reference_results=raw.get("reference_results", {}),
-        geometry=geometry,
+        plants=f["plants"],
+        requirements=f["requirements"],
+        controllers=f["controllers"],
+        reference_results=f["reference_results"],
+        geometry=f["geometry"],
         ts=ts,
         band_pct=band,
         limits=limits,
@@ -404,63 +410,37 @@ def load_scenario(
                 f"(bundled: {', '.join(bundled_scenario_names())})"
             )
         name = f"bundled:{stem}"
-    raw = _object(
-        _parse_json(p.read_bytes(), name), name, "plant", "controller",
-        "reference", "disturbance", "requirement", "limits", "ts", "duration",
-        "label", "loop_delay",
+    f = {}
+    _fields(
+        _parse_json(p.read_bytes(), name), name, f,
+        plant=_named_or_inline(project.plants, "plant", tf_from_json),
+        controller=_named_or_inline(
+            project.controllers, "controller",
+            lambda obj, ctx: controller_from_json(obj, ctx, plant=f["plant"]),
+        ),
+        reference=_signal_from_json,
+        disturbance=_or_null(_disturbance_from_json, None),
+        requirement=_or_null(
+            _named_or_inline(project.requirements, "requirement", requirement_from_json),
+            None,
+        ),
+        limits=_or_null(limits_from_json, project.limits),
+        ts=(_num, project.ts),
+        duration=_num,
+        label=(_str, stem),
+        loop_delay=(_bool, False),
     )
-    plant = _named_or_inline(
-        _get(raw, "plant", name), project.plants, f"{name}.plant", "plant",
-        tf_from_json,
-    )
-    controller = _named_or_inline(
-        _get(raw, "controller", name), project.controllers, f"{name}.controller",
-        "controller", lambda obj, ctx: controller_from_json(obj, ctx, plant=plant),
-    )
-    reference = _signal_from_json(_get(raw, "reference", name), f"{name}.reference")
-    disturbance = None
-    if "disturbance" in raw and raw["disturbance"] is not None:
-        disturbance = _disturbance_from_json(raw["disturbance"], f"{name}.disturbance")
-
-    requirement = None
-    if "requirement" in raw and raw["requirement"] is not None:
-        requirement = _named_or_inline(
-            raw["requirement"], project.requirements, f"{name}.requirement",
-            "requirement", requirement_from_json,
-        )
-
-    limits = project.limits
-    if "limits" in raw and raw["limits"] is not None:
-        limits = limits_from_json(raw["limits"], f"{name}.limits")
-    ts = _num(raw.get("ts", project.ts), f"{name}.ts")
+    requirement = f.pop("requirement")
     if ts_override is not None:
-        ts = ts_override
-    duration = _num(_get(raw, "duration", name), f"{name}.duration")
-    label = _str(raw.get("label", stem), f"{name}.label")
-    loop_delay = raw.get("loop_delay", False)
-    if not isinstance(loop_delay, bool):
-        raise ConfigError(f"{name}.loop_delay: expected true or false")
-    scenario = _build(
-        name,
-        Scenario,
-        plant=plant,
-        controller=controller,
-        reference=reference,
-        duration=duration,
-        ts=ts,
-        limits=limits,
-        disturbance=disturbance,
-        loop_delay=loop_delay,
-        label=label,
-    )
+        f["ts"] = ts_override
+    scenario = _build(name, Scenario, **f)
     return LoadedScenario(name=stem, scenario=scenario, requirement=requirement)
 
 
 def model_report_to_json(report) -> dict:
     """Serialize a sysid FitReport as a model JSON with a fit summary."""
     return {
-        "num": list(report.model.num),
-        "den": list(report.model.den),
+        **tf_to_json(report.model),
         "fit": {
             "label": report.label,
             "fit_pct": report.fit_pct,

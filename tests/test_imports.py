@@ -2,7 +2,8 @@
 module imports scipy at all, each kind of input file has one reader, each
 control law and each judging rule is spelled once, the closed loop's sample
 is assembled once, CSV files have one writer and the loop one reading of
-its eigenvalues, only ``SimTrace`` reads the clamp off a trace, every
+its eigenvalues, each key a config object takes is declared once, in its
+reader's ``_fields`` spec, only ``SimTrace`` reads the clamp off a trace, every
 function the benchmark traces still exists, only ``cli.main`` writes
 stdout, only ``simloop.run_and_judge`` runs a loop and judges it, and no
 package module runs a second simulator of a model through ``simulate``.
@@ -76,15 +77,19 @@ def _scipy_imports(path: Path, in_functions: bool = False) -> list[str]:
     return [hit for _, hit in sorted(hits)]
 
 
-def _calls(path: Path, wanted: set[str], outside: str | None = None) -> list[str]:
+def _calls(
+    path: Path, wanted: set[str], outside: str | None = None, where=None
+) -> list[str]:
     """Calls of the dotted names ``wanted`` in a module, outside its
-    top-level function ``outside``, as ``file:line: call``."""
+    top-level function ``outside``, as ``file:line: call``; given ``where``,
+    only the ``ast.Call`` nodes it accepts."""
     tree = ast.parse(path.read_text(), filename=str(path))
     tops = [node for node in tree.body
             if not (isinstance(node, ast.FunctionDef) and node.name == outside)]
     hits = []
     for node in (n for top in tops for n in ast.walk(top)):
-        if isinstance(node, ast.Call) and (call := ast.unparse(node.func)) in wanted:
+        if (isinstance(node, ast.Call) and (call := ast.unparse(node.func)) in wanted
+                and (where is None or where(node))):
             hits.append((node.lineno, f"{path.name}:{node.lineno}: {call}"))
     return [hit for _, hit in sorted(hits)]
 
@@ -98,6 +103,16 @@ def _reader_calls(path: Path) -> list[str]:
 def _writer_calls(path: Path) -> list[str]:
     """Calls of ``np.savetxt`` and ``csv.writer`` in a module."""
     return _calls(path, {"np.savetxt", "numpy.savetxt", "csv.writer"})
+
+
+def _key_list_calls(path: Path, outside: str | None = "_fields") -> list[str]:
+    """Calls of ``_object`` in a module that hand it a key list, any argument
+    past the object and its path, outside its top-level function ``outside``."""
+    return _calls(
+        path, {"_object", "config._object"}, outside,
+        where=lambda call: call.keywords or len(call.args) != 2
+        or any(isinstance(arg, ast.Starred) for arg in call.args),
+    )
 
 
 def _eigvals_calls(path: Path, outside: str | None = "_spectral_radius") -> list[str]:
@@ -297,6 +312,37 @@ def test_eigvals_call_detector_flags_and_exempts(tmp_path):
         "mod.py:9: numpy.linalg.eigvals",
     ]
     assert len(_eigvals_calls(src, outside=None)) == 3
+
+
+def test_each_config_key_is_declared_once():
+    # every object reader in config declares its keys in one _fields spec,
+    # which both refuses the keys it does not name and reads the ones it
+    # does, so only _fields hands _object a key list
+    config = PACKAGE / "config.py"
+    assert _key_list_calls(config) == []
+    assert len(_key_list_calls(config, outside=None)) == 1
+
+
+def test_key_list_detector_flags_and_exempts(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def _fields(obj, ctx, **spec):\n"
+        "    return _object(obj, ctx, *spec)\n"
+        "def reader(obj, ctx, keys):\n"
+        "    _object(obj, ctx)\n"
+        "    _object(obj, ctx, 'num', 'den')\n"
+        "    _object(obj, ctx, *keys)\n"
+        "    _object(*keys)\n"
+        "    text = '_object(obj, ctx, \"num\")'\n"
+        "    return config._object(obj, ctx, known=keys), _objects(obj, ctx, 'a')\n"
+    )
+    assert _key_list_calls(src) == [
+        "mod.py:5: _object",
+        "mod.py:6: _object",
+        "mod.py:7: _object",
+        "mod.py:9: config._object",
+    ]
+    assert len(_key_list_calls(src, outside=None)) == 5
 
 
 def test_each_control_law_is_spelled_once():
