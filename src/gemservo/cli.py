@@ -24,7 +24,9 @@ from . import __version__, simloop
 from .config import (
     ConfigError,
     Project,
+    _radians,
     _read_json,
+    _tilt_deg,
     bundled_scenario_names,
     geometry_from_json,
     load_project,
@@ -192,10 +194,12 @@ def _simulate_summary(doc, trace, verdict, u_min: float) -> list[str]:
     )
     n_neg = doc["clipped_low_samples"]
     if n_neg:
+        # the reason holds for the one-sided actuator alone
+        why = (" (negative drive commands are not physically realizable)"
+               if u_min == 0.0 else "")
         lines.append(
             f"note: {n_neg} command sample(s) fell below the {_g(u_min)} Hz "
-            "lower limit and were clipped (negative drive commands are not "
-            "physically realizable)"
+            f"lower limit and were clipped{why}"
         )
     if verdict is not None:
         det = " ".join(
@@ -259,12 +263,17 @@ def cmd_workspace(args) -> tuple[int, dict, list[str]]:
     elif args.l1 is not None or args.l2 is not None or args.alpha is not None:
         if args.l1 is None or args.l2 is None or args.alpha is None:
             raise ConfigError("--l1, --l2 and --alpha must be given together")
-        geom = MountGeometry(l1=args.l1, l2=args.l2, alpha=math.radians(args.alpha))
+        geom = MountGeometry(
+            l1=args.l1, l2=args.l2, alpha=_tilt_deg(args.alpha, "--alpha")
+        )
     else:
         geom = load_project().geometry
 
-    t1 = (math.radians(args.theta1_min), math.radians(args.theta1_max))
-    t2 = (math.radians(args.theta2_min), math.radians(args.theta2_max))
+    # checked in the degrees they are given in, under their flags' names
+    t1 = (_radians(args.theta1_min, "--theta1-min"),
+          _radians(args.theta1_max, "--theta1-max"))
+    t2 = (_radians(args.theta2_min, "--theta2-min"),
+          _radians(args.theta2_max, "--theta2-max"))
     pts = workspace(geom, args.n1, args.n2, theta1_range=t1, theta2_range=t2)
 
     out = _out_dir(args)

@@ -203,6 +203,19 @@ def _build(ctx: str, factory, *args, **kwargs):
         raise ConfigError(f"{ctx}: {exc}") from None
 
 
+def _radians(value, ctx: str) -> float:
+    """A finite angle given in degrees, in radians."""
+    return math.radians(_num(value, ctx))
+
+
+def _tilt_deg(value, ctx: str) -> float:
+    """A polar-axis tilt given in degrees, inside (-90, 90), in radians."""
+    deg = _num(value, ctx)
+    if not abs(deg) < 90.0:
+        raise ConfigError(f"{ctx}: must lie in (-90, 90) degrees, got {deg}")
+    return math.radians(deg)
+
+
 def _num_list(value, ctx: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{ctx}: expected a non-empty array")
@@ -292,9 +305,8 @@ def limits_from_json(obj, ctx: str) -> ActuatorLimits:
 
 
 def geometry_from_json(obj, ctx: str) -> MountGeometry:
-    f = _fields(obj, ctx, l1=_num, l2=_num, alpha_deg=_num)
-    return _build(ctx, MountGeometry, l1=f["l1"], l2=f["l2"],
-                  alpha=math.radians(f["alpha_deg"]))
+    f = _fields(obj, ctx, l1=_num, l2=_num, alpha_deg=_tilt_deg)
+    return _build(ctx, MountGeometry, l1=f["l1"], l2=f["l2"], alpha=f["alpha_deg"])
 
 
 # the keys of a signal spec; a disturbance adds ``inject``
@@ -326,9 +338,9 @@ class Project:
     limits: ActuatorLimits
 
 
-def _defaults(obj, ctx: str) -> tuple[float, float, ActuatorLimits]:
-    """The project's ``(ts, band_pct, limits)``; both numbers are checked for
-    their type before either for its sign."""
+def _defaults(obj, ctx: str) -> dict:
+    """The project's ``ts``, ``band_pct`` and ``limits``; both numbers are
+    checked for their type before either for its sign."""
 
     def band_pct(value, key_ctx: str) -> float:
         band = _num(value, key_ctx)
@@ -338,8 +350,7 @@ def _defaults(obj, ctx: str) -> tuple[float, float, ActuatorLimits]:
         return band
 
     f = {}
-    _fields(obj, ctx, f, ts=_num, band_pct=band_pct, limits=limits_from_json)
-    return f["ts"], f["band_pct"], f["limits"]
+    return _fields(obj, ctx, f, ts=_num, band_pct=band_pct, limits=limits_from_json)
 
 
 def load_project(path: str | Path | None = None) -> Project:
@@ -362,17 +373,8 @@ def load_project(path: str | Path | None = None) -> Project:
         geometry=geometry_from_json,
         reference_results=(_as_is, {}),  # free-form
     )
-    ts, band, limits = f["defaults"]
-    return Project(
-        plants=f["plants"],
-        requirements=f["requirements"],
-        controllers=f["controllers"],
-        reference_results=f["reference_results"],
-        geometry=f["geometry"],
-        ts=ts,
-        band_pct=band,
-        limits=limits,
-    )
+    defaults = f.pop("defaults")
+    return Project(**f, **defaults)
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,9 @@ def inverse(geom: MountGeometry, pos: EffectorPos, tol: float = 1e-6) -> JointAn
     distance so the caller can see how far off the target is. theta2 comes
     back on the [0, pi] branch; for joint angles produced by :func:`direct`
     with theta2 in [0, pi] and theta1 in (-pi/2, pi/2) the round trip
-    reproduces the inputs exactly (to floating-point accuracy).
+    reproduces the position to rounding and the angles to what it
+    conditions: near theta2 = 0 or pi, sqrt(eps R / l1) for theta1 and
+    sqrt(eps R / l2) for theta2, R the sphere's radius.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -141,11 +143,19 @@ def inverse(geom: MountGeometry, pos: EffectorPos, tol: float = 1e-6) -> JointAn
             "position is outside the declination annulus: |l2 cos(theta2)| "
             f"would be {abs(p):.9g} > l2 = {geom.l2:.9g}"
         )
-    c2 = min(1.0, max(-1.0, p / geom.l2))
-    s2 = math.sqrt(max(0.0, 1.0 - c2 * c2))
-    theta2 = math.atan2(s2, c2)
-    # (x, q) = (l1 - i l2 sin(theta2)) e^{i theta1} in the complex plane
-    theta1 = math.atan2(q, pos.x) + math.atan2(geom.l2 * s2, geom.l1)
+    # (x, q) = (l1 - i l2 sin(theta2)) e^{i theta1} in the complex plane, so
+    # l2 sin(theta2) is also sqrt(x^2 + q^2 - l1^2). Near theta2 = 0 or pi,
+    # sqrt(1 - cos^2) carries the cosine's rounding as sqrt(eps), which
+    # reaches theta1 times l2 / l1; the norm's is sqrt(eps l1 / l2) there,
+    # so it serves when l2 > l1 and the cosine does otherwise
+    if geom.l2 > geom.l1:
+        l2s2 = math.sqrt(max(0.0, (pos.x - geom.l1) * (pos.x + geom.l1) + q * q))
+        theta2 = math.atan2(l2s2, p)
+    else:
+        c2 = min(1.0, max(-1.0, p / geom.l2))
+        s2 = math.sqrt(max(0.0, 1.0 - c2 * c2))
+        theta2, l2s2 = math.atan2(s2, c2), geom.l2 * s2
+    theta1 = math.atan2(q, pos.x) + math.atan2(l2s2, geom.l1)
     return JointAngles(theta1=theta1, theta2=theta2)
 
 

@@ -26,7 +26,8 @@ steps with its limits open. After a block in which every input is a step
 or a ramp past its start and no command clamped, the loop hands its state
 over, and :func:`run` fills the rest in closed form with numpy products,
 the ramp-following solution plus a decaying transient, when the loop is
-stable and the predicted commands stay inside the limits. Those filled
+stable, the predicted commands stay inside the limits and the terms they
+sum are within 10^3 of the run's largest command. Those filled
 samples are not bit-identical to stepped ones. Their outputs differ
 from the stepped loop's by at most 1e-12 times the larger of the reference
 and the largest stepped output, and their commands by at most 1e-11 times
@@ -120,6 +121,11 @@ assert _BLOCK & (_BLOCK - 1) == 0, "_BLOCK must be a power of two"
 # Blocks the closed-form tail fills per product, which bounds its scratch
 # memory to a few of these groups whatever the length of the run
 _TAIL_GROUP = 64
+
+# The most a tail's command terms may exceed the run's largest command by:
+# a filled command's rounding scales with its terms, the stepped loop's with
+# the command, so beyond this the two part by more than the commands allow
+_TAIL_TERMS_RATIO = 1e3
 
 # The columns of a trace CSV, for its writer and its reader
 _TRACE_COLUMNS = ("t", "r", "e", "u", "u_sat", "y")
@@ -495,6 +501,7 @@ def _closed_form_tail(
     d: np.ndarray | None,
     y_out: np.ndarray,
     u_out: np.ndarray,
+    u_peak: float,
 ) -> bool:
     """Fill ``y_out`` and ``u_out`` with the next outputs and commands of the
     loop from the carried state ``z`` under the reference ``r`` and the
@@ -526,7 +533,10 @@ def _closed_form_tail(
     or when an output reaches ``DIVERGENCE_LIMIT``. The margin is 1e-9 of
     the largest of the finite limits, their span, and the command's terms
     |P_u| (|a| + |z - a|) + |q_u| + |P_u B + Q_u| |v_last - v_e|, the scale
-    its rounding takes.
+    its rounding takes. It is refused, too, when those terms exceed
+    ``_TAIL_TERMS_RATIO`` times the run's largest command, the larger of the
+    stepped ones', ``u_peak``, and the predicted ones: two ramps that cancel
+    in the error leave commands far below the terms they sum.
     """
     dist = scenario.disturbance
     # the inputs that move over the tail, each with its unit direction
@@ -579,7 +589,8 @@ def _closed_form_tail(
             if not (np.all((lo < u) & (u < hi))
                     and np.all(np.abs(y) < DIVERGENCE_LIMIT)):
                 return False
-    return True
+            u_peak = max(u_peak, float(np.max(np.abs(u))))
+    return terms <= _TAIL_TERMS_RATIO * u_peak
 
 
 def _input_marks(specs, t: np.ndarray) -> tuple[int, int]:
@@ -641,7 +652,7 @@ def run(scenario: Scenario) -> SimTrace:
     if z is not None and end < N:
         if _closed_form_tail(
             scenario, dss, limits, z, r[end:], d[end:] if d is not None else None,
-            y_arr[end:], u_arr[end:],
+            y_arr[end:], u_arr[end:], float(np.max(np.abs(u_arr[:end]), initial=0.0)),
         ):
             us_arr[end:] = u_arr[end:]
             end = N

@@ -68,6 +68,23 @@ def test_simulate_wide_limits_remove_negative_clipping(tmp_path, capsys):
     assert "fell below" not in out
 
 
+def test_a_signed_actuator_clips_without_the_one_sided_reason(tmp_path, capsys):
+    # under --wide the state-feedback law's first commands fall below
+    # -350 kHz: clipped, but a negative drive command is realizable there
+    scen = tmp_path / "signed.json"
+    scen.write_text(json.dumps({
+        "plant": "ascension_velocity", "controller": "ascension_velocity_sf",
+        "reference": {"shape": "step", "amplitude": 10.0}, "duration": 2.0,
+    }))
+    _, out, _ = run_cli(
+        ["simulate", str(scen), "--wide", "--out", str(tmp_path)], capsys
+    )
+    note = ("note: 90 command sample(s) fell below the -350000 Hz lower limit "
+            "and were clipped\n")
+    assert note in out
+    assert "physically realizable" not in out
+
+
 @pytest.mark.parametrize("wide", [[], ["--wide"]], ids=["project", "wide"])
 @pytest.mark.parametrize(
     "name", ["ascension_velocity_sf", "declination_velocity_pid",
@@ -533,10 +550,11 @@ def test_workspace_output_matches_golden(tmp_path, monkeypatch, capsys):
         (["--l1", "1e308", "--l2", "1e308", "--alpha", "3"],
          "l1^2 + l2^2 must be finite, got l1=1e+308, l2=1e+308"),
         # refused before numpy spaces a grid over it
-        (["--theta1-max", "inf"],
-         "theta1 range must be finite, got [-1.5708, inf] rad"),
-        (["--theta2-min", "nan"],
-         "theta2 range must be finite, got [nan, 3.14159] rad"),
+        (["--theta1-max", "inf"], "--theta1-max: value must be finite, got inf"),
+        (["--theta2-min", "nan"], "--theta2-min: value must be finite, got nan"),
+        # angles are checked in the degrees they are given in
+        (["--l1", "1", "--l2", "1", "--alpha", "95"],
+         "--alpha: must lie in (-90, 90) degrees, got 95.0"),
     ],
 )
 def test_workspace_bad_geometry_or_grid_exits_two(tmp_path, capsys, argv,
@@ -546,6 +564,16 @@ def test_workspace_bad_geometry_or_grid_exits_two(tmp_path, capsys, argv,
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert not (tmp_path / "workspace.csv").exists()
+
+
+def test_workspace_geometry_file_quotes_its_tilt_in_degrees(tmp_path, capsys):
+    gfile = tmp_path / "geom.json"
+    gfile.write_text(json.dumps({"l1": 1.0, "l2": 1.0, "alpha_deg": 95}))
+    code, out, err = run_cli(
+        ["workspace", "--geometry", str(gfile), "--out", str(tmp_path)], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {gfile}.alpha_deg: must lie in (-90, 90) degrees, got 95.0\n"
 
 
 def test_workspace_geometry_file_with_an_overflowing_radius_exits_two(

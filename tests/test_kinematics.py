@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gemservo.kinematics import (
     DEFAULT_GEOMETRY,
@@ -120,6 +122,38 @@ def test_inverse_handles_the_branch_endpoints():
         back = inverse(DEFAULT_GEOMETRY, direct(DEFAULT_GEOMETRY, j))
         assert back.theta1 == pytest.approx(j.theta1, abs=1e-7)
         assert back.theta2 == pytest.approx(theta2, abs=1e-6)
+
+
+_ANGLE = st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True)
+
+
+# Near theta2 = 0 or pi an angle is known only to the square root of the
+# position's rounding, eps R, over the arm it turns: l1 for theta1, l2 for
+# theta2. Over 600 000 scratch draws the round trip read at most 1.7 of
+# that on the angles and 2.7 eps R on the position.
+@example(l1=0.001, l2=665.560000297179, alpha=-0.2527352384005961,
+         theta1=0.9278001866978933, theta2=3.1415926535897927)
+@settings(max_examples=400, deadline=None)
+@given(
+    l1=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    l2=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    alpha=_ANGLE,
+    theta1=_ANGLE,
+    theta2=st.one_of(
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 1e-6),
+        st.floats(0.0, 1e-6).map(lambda e: math.pi - e),
+    ),
+)
+def test_inverse_round_trip_within_its_conditioning(l1, l2, alpha, theta1, theta2):
+    geom = MountGeometry(l1=l1, l2=l2, alpha=alpha)
+    pos = direct(geom, JointAngles(theta1, theta2))
+    back = inverse(geom, pos)
+    again = direct(geom, back)
+    eps, r = np.finfo(float).eps, math.sqrt(geom.radius_sq)
+    assert math.dist((again.x, again.y, again.z), (pos.x, pos.y, pos.z)) <= 8 * eps * r
+    assert abs(back.theta1 - theta1) <= 4 * math.sqrt(eps * r / l1)
+    assert abs(back.theta2 - theta2) <= 4 * math.sqrt(eps * r / l2)
 
 
 def test_inverse_rejects_off_sphere_points_with_distance():

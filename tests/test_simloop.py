@@ -1327,6 +1327,15 @@ def _ramp_load_on_slow_pid(duration, reference, rate, start, limits):
     0.002 * 992, SignalSpec(amplitude=1.9807045656199046e-15,
                             start=1.9807045656199046e-15),
     -2793.322030038174, 0.01289132796170194, None))
+# Two ramps that cancel in the error: the commands stay under 0.0145 while
+# their terms reach 19 400, and a filled command missed its bound by 10.8
+# times; the tail is refused, since its terms exceed 10^3 times the commands.
+@example(scen=Scenario(
+    plant=PROJECT.plants["declination_velocity"], controller=PidGains(7788.646, 165742.4),
+    reference=SignalSpec(shape="ramp", rate=0.1, start=6.9e-177),
+    duration=0.005 * 1730, ts=0.005, limits=_OPEN,
+    disturbance=DisturbanceSpec(shape="ramp", rate=0.1, start=9.1e-6, inject="output"),
+    loop_delay=True))
 @settings(deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(scen=_tail_scenarios())
