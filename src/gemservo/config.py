@@ -412,7 +412,7 @@ def load_scenario(
                 f"(bundled: {', '.join(bundled_scenario_names())})"
             )
         name = f"bundled:{stem}"
-    f = {}
+    f = {}  # filled as read: a pole-form controller needs the plant before it
     _fields(
         _parse_json(p.read_bytes(), name), name, f,
         plant=_named_or_inline(project.plants, "plant", tf_from_json),
